@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt docs golden bench warmstart
+.PHONY: build test race vet fmt docs golden bench perfbench warmstart
 
 build:
 	$(GO) build ./...
@@ -34,8 +34,16 @@ golden:
 
 # bench regenerates the benchmark numbers recorded in EXPERIMENTS.md.
 bench:
-	$(GO) test -run xxx -bench 'DesignAnalyze|LoadCurveCharacterization|Speedup' -benchtime=1x -benchmem .
+	$(GO) test -run xxx -bench 'DesignAnalyze|LoadCurveCharacterization|Speedup|MacromodelEngine' -benchtime=1x -benchmem .
 	$(GO) test -run xxx -bench 'INVLoadCurveSweep|NAND2LoadCurveSweepWarmFine' -benchmem ./internal/charlib
+
+# perfbench runs the repository benchmark (BENCHMARK.json) once, by
+# default the signoff-eco workload; override ARGS for another workload,
+# seed or a traced run, e.g. make perfbench ARGS='--workload serve-mixed
+# --seed 3 --trace 1'. See perfbench/README.md.
+ARGS ?= --workload signoff-eco --seed 1 --seconds 25 --trace 0
+perfbench:
+	bash perfbench/run.sh $(ARGS)
 
 # warmstart prints the cold-vs-warm iteration/speedup table.
 warmstart:

@@ -7,6 +7,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -117,6 +118,13 @@ func TestFacadeTypedErrors(t *testing.T) {
 	cancel()
 	if _, err := stanoise.NewAnalyzer(d, opts).Analyze(cctx); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled Analyze error = %v", err)
+	}
+
+	// A non-finite engine step is rejected up front with the typed error.
+	opts.Dt = math.NaN()
+	var oerr *stanoise.OptionsError
+	if _, err := stanoise.NewAnalyzer(d, opts).Analyze(ctx); !errors.Is(err, stanoise.ErrInvalidOptions) || !errors.As(err, &oerr) {
+		t.Errorf("NaN Dt error = %v, want *stanoise.OptionsError", err)
 	}
 }
 

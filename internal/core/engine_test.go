@@ -2,10 +2,13 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 
 	"stanoise/internal/circuit"
+	"stanoise/internal/linalg"
 	"stanoise/internal/mor"
 	"stanoise/internal/sim"
 	"stanoise/internal/wave"
@@ -143,6 +146,163 @@ func TestEngineRequiresTStop(t *testing.T) {
 	}
 }
 
+// TestEngineRejectsNonFiniteOptions pins the typed option errors: a NaN or
+// infinite Dt/TStop used to reach make() as a negative or overflowing
+// capacity and panic.
+func TestEngineRejectsNonFiniteOptions(t *testing.T) {
+	red := reducedLadder(t, 4, 10, 1e-15)
+	srcs := []PortSource{OpenPort{}, OpenPort{}}
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name  string
+		opts  EngineOptions
+		field string
+	}{
+		{"nan_dt", EngineOptions{Dt: nan, TStop: 1e-9}, "Dt"},
+		{"inf_dt", EngineOptions{Dt: inf, TStop: 1e-9}, "Dt"},
+		{"neg_inf_dt", EngineOptions{Dt: -inf, TStop: 1e-9}, "Dt"},
+		{"nan_tstop", EngineOptions{Dt: 1e-12, TStop: nan}, "TStop"},
+		{"inf_tstop", EngineOptions{Dt: 1e-12, TStop: inf}, "TStop"},
+		{"missing_tstop", EngineOptions{Dt: 1e-12}, "TStop"},
+		{"nan_tol", EngineOptions{TStop: 1e-9, Tol: nan}, "Tol"},
+		{"tiny_dt", EngineOptions{Dt: 1e-300, TStop: 1e-9}, "Dt"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := RunEngine(context.Background(), red, srcs, []float64{0, 0}, tc.opts)
+			if !errors.Is(err, ErrInvalidOptions) {
+				t.Fatalf("err = %v, want ErrInvalidOptions", err)
+			}
+			var oe *OptionsError
+			if !errors.As(err, &oe) || oe.Field != tc.field {
+				t.Fatalf("err = %#v, want *OptionsError on %s", err, tc.field)
+			}
+		})
+	}
+}
+
+// TestEngineStepCountExact mirrors sim's TestTransientStepCountExact: the
+// engine samples the exact grid t = k·Dt for k = 0..round(TStop/Dt), also
+// at a step (0.1 ps) that binary floating point cannot represent, where
+// an accumulating t += Dt drifts off the grid and miscounts.
+func TestEngineStepCountExact(t *testing.T) {
+	red := reducedLadder(t, 4, 10, 1e-15)
+	srcs := []PortSource{&TheveninPort{W: wave.SaturatedRamp(0, 1, 10e-12, 40e-12), RTh: 500}, OpenPort{}}
+	cases := []struct {
+		name      string
+		dt, tstop float64
+		want      int // recorded points, t = 0 included
+	}{
+		{"exact_multiple", 1e-12, 1e-9, 1001},
+		{"unrepresentable_step", 0.1e-12, 20e-9, 200001},
+		{"odd_ratio", 2e-12, 777.7e-12, 390},  // 777.7/2 = 388.85 → 389 steps
+		{"sub_half_step", 1e-12, 0.4e-12, 1},  // below Dt/2: quiet point only
+		{"near_half_step", 1e-12, 0.6e-12, 2}, // above Dt/2: one step
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := RunEngine(context.Background(), red, srcs, []float64{0, 0}, EngineOptions{Dt: tc.dt, TStop: tc.tstop})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Times) != tc.want || len(res.PortV[1]) != tc.want {
+				t.Fatalf("recorded %d/%d points, want %d", len(res.Times), len(res.PortV[1]), tc.want)
+			}
+			for k, tm := range res.Times {
+				if want := float64(k) * tc.dt; tm != want {
+					t.Fatalf("step %d at t=%g, want exactly %g", k, tm, want)
+				}
+			}
+		})
+	}
+}
+
+// TestEngineWorkspaceProbeAllocFree pins the pooled alignment probe: a
+// warm workspace re-running an alignment timing run and measuring the
+// victim peak in place allocates nothing, for the linear probe and for the
+// nonlinear VCCS victim with its Miller companion.
+func TestEngineWorkspaceProbeAllocFree(t *testing.T) {
+	c := fastCluster(t, 2)
+	models, err := c.BuildModels(context.Background(), fastModelOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := fastEvalOptions().normalize(c)
+	probes := map[string][]PortSource{
+		"linear_probe": c.probeSources(models, 0),
+		"vccs_miller":  c.portSources(models, c.macromodelVictim(models, EvalOptions{Miller: true})),
+	}
+	for name, srcs := range probes {
+		t.Run(name, func(t *testing.T) {
+			ws := &engineWorkspace{}
+			probe := func() {
+				if err := ws.runModels(context.Background(), models, srcs, opts); err != nil {
+					t.Fatal(err)
+				}
+				if ws.measure(models.VicPort, models.QuietVic).Peak == 0 {
+					t.Fatal("probe measured no noise")
+				}
+			}
+			probe() // size the workspace
+			if allocs := testing.AllocsPerRun(10, probe); allocs != 0 {
+				t.Fatalf("warm probe allocates %.1f objects per run, want 0", allocs)
+			}
+		})
+	}
+}
+
+// TestEngineMatchesOracleOnLadder is the smallest differential check of
+// the port-space engine against the q×q oracle: an RC ladder with a
+// Thevenin ramp, a holding victim and a Miller-style CapPort inside a
+// ParallelPort.
+func TestEngineMatchesOracleOnLadder(t *testing.T) {
+	red := reducedLadder(t, 8, 50, 10e-15)
+	mk := func() []PortSource {
+		return []PortSource{
+			ParallelPort{&HoldingPort{G: 1e-3, V0: 1.2}, &CapPort{C: 2e-15, W: wave.Triangle(0, 1.2, 100e-12, 200e-12)}},
+			&TheveninPort{W: wave.SaturatedRamp(1.2, 0, 100e-12, 80e-12), RTh: 300},
+		}
+	}
+	v0 := []float64{1.2, 1.2}
+	opts := EngineOptions{Dt: 1e-12, TStop: 1e-9}
+	got, err := RunEngine(context.Background(), red, mk(), v0, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := runEngineQQ(context.Background(), red, mk(), v0, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := maxPortDeviation(t, got, want); d > oracleTolV {
+		t.Fatalf("port-space engine deviates %g V from the q×q oracle", d)
+	}
+}
+
+// oracleTolV is the agreement the port-space engine must keep with the
+// q×q oracle on every port sample.
+const oracleTolV = 1e-12
+
+// maxPortDeviation returns the largest |got − want| over every port and
+// sample, failing the test when the time grids differ.
+func maxPortDeviation(t *testing.T, got, want *EngineResult) float64 {
+	t.Helper()
+	if len(got.Times) != len(want.Times) || len(got.PortV) != len(want.PortV) {
+		t.Fatalf("grid mismatch: %d×%d vs %d×%d", len(got.PortV), len(got.Times), len(want.PortV), len(want.Times))
+	}
+	for i := range got.Times {
+		if got.Times[i] != want.Times[i] {
+			t.Fatalf("sample %d at t=%g, oracle at %g", i, got.Times[i], want.Times[i])
+		}
+	}
+	worst := 0.0
+	for k := range got.PortV {
+		for i, v := range got.PortV[k] {
+			worst = math.Max(worst, math.Abs(v-want.PortV[k][i]))
+		}
+	}
+	return worst
+}
+
 func TestHoldingPortRestores(t *testing.T) {
 	p := &HoldingPort{G: 1e-3, V0: 1.2}
 	i, g := p.Current(0, 1.0) // output drooped 0.2 V below quiet
@@ -204,4 +364,141 @@ func TestCapPortDifferentiates(t *testing.T) {
 	if avg := 0.5 * (prev + cur); math.Abs(avg) > 0.01*want {
 		t.Errorf("post-ramp average cap current = %v, want ~0", avg)
 	}
+}
+
+// runEngineQQ is the full-state engine the port-space RunEngine replaced,
+// kept as the oracle of the differential tests: Newton on all q reduced
+// states, assembling and factoring the q×q Jacobian A1 − B·diag(∂i/∂v)·Bᵀ
+// on every iteration, converging on max|Δx|. It shares RunEngine's exact
+// time grid t = k·Dt, so the two differ only in how each step's nonlinear
+// system is solved.
+func runEngineQQ(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 []float64, opts EngineOptions) (*EngineResult, error) {
+	opts, err := opts.normalize()
+	if err != nil {
+		return nil, err
+	}
+	p := len(red.Ports)
+	if len(sources) != p || len(v0) != p {
+		return nil, fmt.Errorf("core: engine needs %d sources and v0 entries, got %d/%d",
+			p, len(sources), len(v0))
+	}
+	q := red.Q
+	h := opts.Dt
+
+	// Constant matrices for trapezoidal integration:
+	// A1 = 2Cr/h + Gr (system), A2 = 2Cr/h − Gr (history).
+	a1 := red.Cr.Clone()
+	a1.Scale(2 / h)
+	a1.AddScaled(1, red.Gr)
+	a2 := red.Cr.Clone()
+	a2.Scale(2 / h)
+	a2.AddScaled(-1, red.Gr)
+
+	x := make([]float64, q)
+	xPrev := make([]float64, q)
+	iPrev := make([]float64, p)
+	icur := make([]float64, p)
+	didv := make([]float64, p)
+	f := make([]float64, q)
+	hist := make([]float64, q)
+	dx := make([]float64, q)
+	jac := linalg.NewMatrix(q, q)
+	lu := linalg.NewLUWorkspace(q)
+
+	nsteps := int(math.Floor(opts.TStop/h + 0.5))
+	res := &EngineResult{
+		Times: make([]float64, 0, nsteps+1),
+		PortV: make([][]float64, p),
+		Ports: append([]string(nil), red.Ports...),
+	}
+	for k := range res.PortV {
+		res.PortV[k] = make([]float64, 0, nsteps+1)
+	}
+	record := func(t float64) {
+		res.Times = append(res.Times, t)
+		v := red.PortVoltages(x)
+		for k := 0; k < p; k++ {
+			res.PortV[k] = append(res.PortV[k], v0[k]+v[k])
+		}
+	}
+
+	for k, s := range sources {
+		if d, ok := s.(DynamicPort); ok {
+			d.Init(h, 0, v0[k])
+		}
+		iPrev[k], _ = s.Current(0, v0[k])
+	}
+	record(0)
+
+	for step := 1; step <= nsteps; step++ {
+		if step&63 == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		t := float64(step) * h
+		// hist = A2·x_prev + B·i_prev
+		copy(xPrev, x)
+		a2.MulVecInto(hist, xPrev)
+		for r := 0; r < q; r++ {
+			s := 0.0
+			for k := 0; k < p; k++ {
+				s += red.B.At(r, k) * iPrev[k]
+			}
+			hist[r] += s
+		}
+		// Newton on F(x) = A1·x − hist − B·i(t, V0+Bᵀx).
+		converged := false
+		for it := 0; it < opts.MaxNewton; it++ {
+			u := red.PortVoltages(x)
+			for k, s := range sources {
+				icur[k], didv[k] = s.Current(t, v0[k]+u[k])
+			}
+			a1.MulVecInto(f, x)
+			for r := 0; r < q; r++ {
+				s := 0.0
+				for k := 0; k < p; k++ {
+					s += red.B.At(r, k) * icur[k]
+				}
+				f[r] -= hist[r] + s
+			}
+			jac.CopyFrom(a1)
+			for r := 0; r < q; r++ {
+				for cc := 0; cc < q; cc++ {
+					s := 0.0
+					for k := 0; k < p; k++ {
+						s += red.B.At(r, k) * didv[k] * red.B.At(cc, k)
+					}
+					jac.Add(r, cc, -s)
+				}
+			}
+			if err := lu.Factor(jac); err != nil {
+				return nil, fmt.Errorf("core: singular macromodel Jacobian at t=%.3gps: %w", t*1e12, err)
+			}
+			lu.SolveInto(dx, f)
+			maxd := 0.0
+			for r := 0; r < q; r++ {
+				x[r] -= dx[r]
+				if a := math.Abs(dx[r]); a > maxd {
+					maxd = a
+				}
+			}
+			if maxd < opts.Tol {
+				converged = true
+				break
+			}
+		}
+		if !converged {
+			return nil, fmt.Errorf("core: macromodel Newton did not converge at t=%.3gps", t*1e12)
+		}
+		u := red.PortVoltages(x)
+		for k, s := range sources {
+			iPrev[k], _ = s.Current(t, v0[k]+u[k])
+			if d, ok := s.(DynamicPort); ok {
+				d.Commit(t, v0[k]+u[k])
+			}
+		}
+		record(t)
+	}
+	return res, nil
 }

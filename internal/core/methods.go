@@ -259,28 +259,54 @@ func (c *Cluster) aggressorSources(models *Models, sources []PortSource) {
 	}
 }
 
-func (c *Cluster) evaluateMacromodel(ctx context.Context, models *Models, opts EvalOptions) (*Evaluation, error) {
-	if models == nil {
-		return nil, fmt.Errorf("core: macromodel evaluation needs models")
-	}
-	start := time.Now()
+// portSources returns one PortSource per reduced-model port: vic at the
+// victim driving point, the aggressors' Thevenin drivers (see
+// aggressorSources) and open receiver ports.
+func (c *Cluster) portSources(models *Models, vic PortSource) []PortSource {
 	sources := make([]PortSource, len(models.Red.Ports))
 	for i := range sources {
 		sources[i] = OpenPort{}
 	}
+	sources[models.VicPort] = vic
+	c.aggressorSources(models, sources)
+	return sources
+}
+
+// macromodelVictim returns the paper's victim-driver port: the VCCS load
+// curve driven by the input glitch, with the Miller feedthrough capacitor
+// in parallel when EvalOptions.Miller asks for it.
+func (c *Cluster) macromodelVictim(models *Models, opts EvalOptions) PortSource {
 	vin := c.victimInputWave()
 	var vic PortSource = &VCCSPort{LC: models.LC, Vin: vin}
 	if opts.Miller && models.MillerC > 0 {
 		vic = ParallelPort{vic, &CapPort{C: models.MillerC, W: vin}}
 	}
-	sources[models.VicPort] = vic
-	c.aggressorSources(models, sources)
-	res, err := RunEngine(ctx, models.Red, sources, models.V0, EngineOptions{Dt: opts.Dt, TStop: opts.TStop})
-	if err != nil {
+	return vic
+}
+
+// engineWorkspace returns the workspace for this cluster's engine runs:
+// the attached pool's, shared with every cluster its worker evaluates, or
+// a fresh one when no pool is attached.
+func (c *Cluster) engineWorkspace() *engineWorkspace {
+	c.rigMu.Lock()
+	defer c.rigMu.Unlock()
+	if c.rigPool != nil {
+		return c.rigPool.engineWorkspace()
+	}
+	return &engineWorkspace{}
+}
+
+func (c *Cluster) evaluateMacromodel(ctx context.Context, models *Models, opts EvalOptions) (*Evaluation, error) {
+	if models == nil {
+		return nil, fmt.Errorf("core: macromodel evaluation needs models")
+	}
+	start := time.Now()
+	ws := c.engineWorkspace()
+	if err := ws.runModels(ctx, models, c.portSources(models, c.macromodelVictim(models, opts)), opts); err != nil {
 		return nil, err
 	}
 	elapsed := time.Since(start)
-	return c.finish(Macromodel, res.Waveform(models.VicPort), res.Waveform(models.RecvPort), elapsed), nil
+	return c.finish(Macromodel, ws.waveform(models.VicPort), ws.waveform(models.RecvPort), elapsed), nil
 }
 
 func (c *Cluster) evaluateSuperposition(ctx context.Context, models *Models, opts EvalOptions) (*Evaluation, error) {
@@ -295,18 +321,12 @@ func (c *Cluster) evaluateSuperposition(ctx context.Context, models *Models, opt
 
 	// Injected noise: linear victim (holding conductance), aggressors
 	// switching.
-	sources := make([]PortSource, len(models.Red.Ports))
-	for i := range sources {
-		sources[i] = OpenPort{}
-	}
-	sources[models.VicPort] = &HoldingPort{G: models.HoldG, V0: quiet}
-	c.aggressorSources(models, sources)
-	res, err := RunEngine(ctx, models.Red, sources, models.V0, EngineOptions{Dt: opts.Dt, TStop: opts.TStop})
-	if err != nil {
+	ws := c.engineWorkspace()
+	if err := ws.runModels(ctx, models, c.portSources(models, &HoldingPort{G: models.HoldG, V0: quiet}), opts); err != nil {
 		return nil, err
 	}
-	injDP := res.Waveform(models.VicPort)
-	injRecv := res.Waveform(models.RecvPort)
+	injDP := ws.waveform(models.VicPort)
+	injRecv := ws.waveform(models.RecvPort)
 
 	dp, recv := injDP, injRecv
 	if g := c.Victim.Glitch; g.Height > 0 {
@@ -424,27 +444,22 @@ func (c *Cluster) evaluateZolotov(ctx context.Context, models *Models, opts Eval
 	// repeat the construction at the coupled response.
 	pulse := pulseFromResponse(drv, vin, models.LC, rHold)
 
-	var res *EngineResult
+	ws := c.engineWorkspace()
 	for pass := 0; pass < opts.ZolotovPasses; pass++ {
-		sources := make([]PortSource, len(models.Red.Ports))
-		for i := range sources {
-			sources[i] = OpenPort{}
-		}
-		sources[models.VicPort] = &PulsePort{W: pulse, R: rHold}
-		c.aggressorSources(models, sources)
-		res, err = RunEngine(ctx, models.Red, sources, models.V0, EngineOptions{Dt: opts.Dt, TStop: opts.TStop})
-		if err != nil {
+		if err := ws.runModels(ctx, models, c.portSources(models, &PulsePort{W: pulse, R: rHold}), opts); err != nil {
 			return nil, err
 		}
 		if pass == opts.ZolotovPasses-1 {
 			break
 		}
 		// Fixed-point refinement: rebuild the source at the voltages just
-		// computed in the coupled circuit.
-		pulse = pulseFromResponse(res.Waveform(models.VicPort), vin, models.LC, rHold)
+		// computed in the coupled circuit (pulseFromResponse copies them
+		// out of the workspace before the next pass overwrites it).
+		dp := ws.view(models.VicPort)
+		pulse = pulseFromResponse(&dp, vin, models.LC, rHold)
 	}
 	elapsed := time.Since(start)
-	return c.finish(Zolotov, res.Waveform(models.VicPort), res.Waveform(models.RecvPort), elapsed), nil
+	return c.finish(Zolotov, ws.waveform(models.VicPort), ws.waveform(models.RecvPort), elapsed), nil
 }
 
 // pulseFromResponse converts a victim driving-point response into the
@@ -488,33 +503,42 @@ func (c *Cluster) AlignPeaks(ctx context.Context, models *Models, opts EvalOptio
 	if models == nil {
 		return 0, nil, fmt.Errorf("core: alignment needs models")
 	}
-	opts = opts.normalize(c)
-	quiet := models.QuietVic
+	return c.alignPeaks(ctx, c.engineWorkspace(), models, opts.normalize(c))
+}
 
+// probeSources returns the port sources of aggressor i's alignment timing
+// run: the linear holding victim, aggressor i switching at its current
+// offset, and every other aggressor holding its quiet rail through its
+// Thevenin resistance.
+func (c *Cluster) probeSources(models *Models, i int) []PortSource {
+	sources := make([]PortSource, len(models.Red.Ports))
+	for k := range sources {
+		sources[k] = OpenPort{}
+	}
+	sources[models.VicPort] = &HoldingPort{G: models.HoldG, V0: models.QuietVic}
+	for j, pj := range models.AggPorts {
+		if j == i {
+			sources[pj] = NewTheveninPort(models.Agg[j].Shifted(c.Aggressors[j].Offset))
+		} else {
+			sources[pj] = &PulsePort{W: wave.Constant(models.Agg[j].V0), R: models.Agg[j].RTh}
+		}
+	}
+	return sources
+}
+
+// alignPeaks is AlignPeaks on normalized options, running its timing
+// probes in ws and measuring each victim peak in place.
+func (c *Cluster) alignPeaks(ctx context.Context, ws *engineWorkspace, models *Models, opts EvalOptions) (target float64, starts []float64, err error) {
+	quiet := models.QuietVic
 	peaks := make([]float64, len(c.Aggressors))
 	for i := range c.Aggressors {
 		if c.Aggressors[i].Quiet {
 			continue
 		}
-		sources := make([]PortSource, len(models.Red.Ports))
-		for k := range sources {
-			sources[k] = OpenPort{}
-		}
-		sources[models.VicPort] = &HoldingPort{G: models.HoldG, V0: quiet}
-		// Only aggressor i switches; the others hold their quiet rail
-		// through their Thevenin resistance.
-		for j, pj := range models.AggPorts {
-			if j == i {
-				sources[pj] = NewTheveninPort(models.Agg[j].Shifted(c.Aggressors[j].Offset))
-			} else {
-				sources[pj] = &PulsePort{W: wave.Constant(models.Agg[j].V0), R: models.Agg[j].RTh}
-			}
-		}
-		res, err := RunEngine(ctx, models.Red, sources, models.V0, EngineOptions{Dt: opts.Dt, TStop: opts.TStop})
-		if err != nil {
+		if err := ws.runModels(ctx, models, c.probeSources(models, i), opts); err != nil {
 			return 0, nil, fmt.Errorf("core: alignment run for aggressor %d: %w", i, err)
 		}
-		m := wave.MeasureNoise(res.Waveform(models.VicPort), quiet)
+		m := ws.measure(models.VicPort, quiet)
 		if m.Peak == 0 {
 			return 0, nil, fmt.Errorf("core: aggressor %d injects no measurable noise", i)
 		}
@@ -561,7 +585,8 @@ func (c *Cluster) AlignWorstCase(ctx context.Context, models *Models, opts EvalO
 		return fmt.Errorf("core: alignment needs models")
 	}
 	opts = opts.normalize(c)
-	if _, _, err := c.AlignPeaks(ctx, models, opts); err != nil {
+	ws := c.engineWorkspace()
+	if _, _, err := c.alignPeaks(ctx, ws, models, opts); err != nil {
 		return err
 	}
 	// Peak alignment is only a linear-model heuristic: with a non-linear
@@ -574,7 +599,7 @@ func (c *Cluster) AlignWorstCase(ctx context.Context, models *Models, opts EvalO
 		step   = 20e-12
 		passes = 2
 	)
-	best, err := c.macromodelPeak(ctx, models, opts)
+	best, err := c.macromodelPeak(ctx, ws, models, opts)
 	if err != nil {
 		return err
 	}
@@ -591,7 +616,7 @@ func (c *Cluster) AlignWorstCase(ctx context.Context, models *Models, opts EvalO
 					continue
 				}
 				c.Aggressors[i].Offset = off
-				p, err := c.macromodelPeak(ctx, models, opts)
+				p, err := c.macromodelPeak(ctx, ws, models, opts)
 				if err != nil {
 					return err
 				}
@@ -647,11 +672,11 @@ func (c *Cluster) EvaluateScenario(ctx context.Context, m Method, models *Models
 }
 
 // macromodelPeak evaluates the cluster's macromodel noise peak at the
-// current offsets — the objective of the worst-case alignment search.
-func (c *Cluster) macromodelPeak(ctx context.Context, models *Models, opts EvalOptions) (float64, error) {
-	ev, err := c.evaluateMacromodel(ctx, models, opts)
-	if err != nil {
+// victim driving point at the current offsets — the objective of the
+// worst-case alignment search — measuring it in place in ws.
+func (c *Cluster) macromodelPeak(ctx context.Context, ws *engineWorkspace, models *Models, opts EvalOptions) (float64, error) {
+	if err := ws.runModels(ctx, models, c.portSources(models, c.macromodelVictim(models, opts)), opts); err != nil {
 		return 0, err
 	}
-	return ev.Metrics.Peak, nil
+	return ws.measure(models.VicPort, c.QuietVictimLevel()).Peak, nil
 }

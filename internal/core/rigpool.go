@@ -45,6 +45,11 @@ type RigPool struct {
 	seq    int64
 	hits   int
 	misses int
+
+	// engine is the macromodel engine workspace shared by every cluster
+	// evaluated through the pool (see Cluster.engineWorkspace). It holds
+	// no library-derived state, so Invalidate leaves it in place.
+	engine *engineWorkspace
 }
 
 // pooledEntry pairs a bench with its last-use stamp for LRU eviction and
@@ -174,11 +179,22 @@ func (r *simRig) memoryBytes() int64 {
 	return r.sess.MemoryBytes() + programOverhead
 }
 
+// engineWorkspace returns the pool's macromodel engine workspace, creating
+// it on first use. Like the pooled benches it belongs to the pool's single
+// goroutine.
+func (p *RigPool) engineWorkspace() *engineWorkspace {
+	if p.engine == nil {
+		p.engine = &engineWorkspace{}
+	}
+	return p.engine
+}
+
 // UseRigPool attaches a pool to the cluster: subsequent evaluations cache
 // their compiled benches in the pool under topology-class keys instead of
 // on the cluster itself, sharing them with every other cluster using the
-// same pool. Attach before the first evaluation; the pool must be owned by
-// the same goroutine that evaluates the cluster.
+// same pool, and run the macromodel engine in the pool's workspace. Attach
+// before the first evaluation; the pool must be owned by the same goroutine
+// that evaluates the cluster.
 func (c *Cluster) UseRigPool(p *RigPool) {
 	c.rigMu.Lock()
 	c.rigPool = p

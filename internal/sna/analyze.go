@@ -136,6 +136,18 @@ type Options struct {
 	NRC       nrc.Options
 }
 
+// Validate rejects option values no analysis can run with: a NaN or
+// infinite Dt (zero and negative values select the default). The error is
+// the engine's own *core.OptionsError, so errors.Is(err,
+// core.ErrInvalidOptions) holds. Analyze, Stream and PropagateChain return
+// it before analysing any cluster.
+func (o Options) Validate() error {
+	if math.IsNaN(o.Dt) || math.IsInf(o.Dt, 0) {
+		return &core.OptionsError{Field: "Dt", Value: o.Dt, Reason: "must be finite"}
+	}
+	return nil
+}
+
 func (o Options) normalize() Options {
 	if o.Dt <= 0 {
 		o.Dt = 2e-12
@@ -301,6 +313,7 @@ type Analyzer struct {
 	opts     Options
 	cache    *charlib.Cache
 	storeErr error
+	optsErr  error // Options.Validate, reported by every run
 
 	// pools is the free list of compiled-bench pools (see PoolSet). Each
 	// analysis worker checks one out for the clusters it processes and
@@ -329,6 +342,7 @@ func (a *Analyzer) InvalidateRigPools() int { return a.pools.Invalidate() }
 
 // NewAnalyzer builds an analyzer for a validated design.
 func NewAnalyzer(d *Design, opts Options) *Analyzer {
+	optsErr := opts.Validate()
 	opts = opts.normalize()
 	cache := opts.Cache
 	if cache == nil {
@@ -338,7 +352,7 @@ func NewAnalyzer(d *Design, opts Options) *Analyzer {
 	if pools == nil {
 		pools = NewPoolSet(opts.RigPoolLimits)
 	}
-	a := &Analyzer{design: d, opts: opts, cache: cache, pools: pools}
+	a := &Analyzer{design: d, opts: opts, cache: cache, pools: pools, optsErr: optsErr}
 	switch {
 	case opts.Cache != nil:
 		// A shared cache is the caller's object: never mutate its disk
@@ -401,7 +415,11 @@ type outcome struct {
 //
 // Cancellation of ctx wins over everything else: outcomes of clusters cut
 // short by the cancel are discarded and runClusters returns ctx.Err().
+// Options that fail Validate are returned before any cluster is claimed.
 func (a *Analyzer) runClusters(ctx context.Context, emit func(outcome) bool) error {
+	if a.optsErr != nil {
+		return a.optsErr
+	}
 	clusters := a.design.Clusters
 	if len(clusters) == 0 {
 		return ctx.Err()

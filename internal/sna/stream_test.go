@@ -354,3 +354,45 @@ func TestSerialPolicyAndCancel(t *testing.T) {
 		t.Errorf("serial cancelled Analyze error = %v", err)
 	}
 }
+
+// TestNonFiniteDtRejected pins the options guard: a NaN or infinite engine
+// step used to reach core.RunEngine's make() and panic inside a worker.
+// Every entry point now returns the typed *core.OptionsError before any
+// cluster is analysed.
+func TestNonFiniteDtRejected(t *testing.T) {
+	d := SampleDesign()
+	for _, dt := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		opts := fastOpts(core.Macromodel)
+		opts.Dt = dt
+		check := func(what string, err error) {
+			t.Helper()
+			var oe *core.OptionsError
+			if !errors.Is(err, core.ErrInvalidOptions) || !errors.As(err, &oe) || oe.Field != "Dt" {
+				t.Errorf("Dt=%v %s: err = %v, want *core.OptionsError on Dt", dt, what, err)
+			}
+		}
+		check("Validate", opts.Validate())
+		an := NewAnalyzer(d, opts)
+		reports, err := an.Analyze(context.Background())
+		check("Analyze", err)
+		if reports != nil {
+			t.Errorf("Dt=%v: Analyze returned %d reports", dt, len(reports))
+		}
+		n := 0
+		for rep, err := range an.Stream(context.Background()) {
+			n++
+			check("Stream", err)
+			if rep.Cluster != "" {
+				t.Errorf("Dt=%v: Stream yielded report %q", dt, rep.Cluster)
+			}
+		}
+		if n != 1 {
+			t.Errorf("Dt=%v: Stream yielded %d items, want 1", dt, n)
+		}
+		_, err = an.PropagateChain(context.Background(), d.Clusters)
+		check("PropagateChain", err)
+	}
+	if err := (Options{Dt: -1}).Validate(); err != nil {
+		t.Errorf("negative Dt selects the default, got %v", err)
+	}
+}

@@ -78,7 +78,13 @@ type (
 	Stage = sna.Stage
 	// ErrorPolicy selects fail-fast or continue-and-collect error handling.
 	ErrorPolicy = sna.ErrorPolicy
+	// OptionsError reports an option the macromodel engine cannot run
+	// with, such as a NaN or infinite Dt (see Options.Validate).
+	OptionsError = core.OptionsError
 )
+
+// ErrInvalidOptions is wrapped by every OptionsError, for errors.Is.
+var ErrInvalidOptions = core.ErrInvalidOptions
 
 // Pipeline stages, in execution order.
 const (
