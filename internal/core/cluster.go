@@ -99,9 +99,10 @@ type Cluster struct {
 // simRig is a compiled simulator test bench cached on the cluster: the
 // program/session pair plus the fingerprint of the sim options it was
 // opened with (a session fixes Dt, tolerances and initial guesses; the
-// stop time is per-run). res is the reused transient result storage —
-// rigMu serialises runs, and the waveforms handed out of an evaluation
-// copy their samples, so reuse across evaluations is safe.
+// stop time is per-run). res is the reused transient result storage of a
+// pool-less cluster (pooled benches share their pool's instead) — rigMu
+// serialises runs, and the waveforms handed out of an evaluation copy
+// their samples, so reuse across evaluations is safe.
 type simRig struct {
 	key  string
 	prog *sim.Program

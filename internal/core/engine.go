@@ -245,17 +245,34 @@ func (r *EngineResult) Waveform(k int) *wave.Waveform {
 //
 //	Cr·ẋ + Gr·x = B·i(t, V0 + Bᵀx)
 //
-// The network is linear; only the p port currents are not. The engine
-// therefore factors A1 = 2Cr/h + Gr once per run and precomputes
-// W = A1⁻¹B (q×p) and S = BᵀW (p×p). Each trapezoidal step forms the
-// history hist = A2·x + B·i_prev with A2 = 2Cr/h − Gr, back-substitutes
-// z = A1⁻¹hist once, and runs Newton on the p port voltages alone,
+// The trapezoidal rule at step h turns this into the recurrence
 //
-//	u − Bᵀz − S·i(t, V0 + u) = 0,   Jacobian I − S·diag(∂i/∂v),
+//	A1·x⁺ = A2·x + B·(i + i⁺),   A1 = 2Cr/h + Gr,   A2 = 2Cr/h − Gr.
 //
-// until max|Δu| < Tol, then updates the state x = z + W·i(u). Per Newton
-// iteration this is a p×p factorization instead of a q×q one. Samples lie
-// on the exact grid t = k·Dt, k = 0..round(TStop/Dt).
+// The network is linear and only the p port currents are not, so the
+// engine integrates it in the eigen-basis of the pencil (A2, A1). Gr and
+// Cr are congruence projections XᵀGX and XᵀCX of a passive RC network:
+// symmetric, with Cr positive definite and Gr positive semidefinite.
+// A1 is therefore symmetric positive definite and A2 symmetric, and the
+// pencil has a real A1-orthonormal eigenbasis. With the Cholesky factor
+// A1 = L·Lᵀ and the symmetric eigen-decomposition
+// L⁻¹·A2·L⁻ᵀ = V·diag(μ)·Vᵀ, the basis Φ = L⁻ᵀ·V satisfies
+//
+//	Φᵀ·A1·Φ = I,   Φᵀ·A2·Φ = diag(μ),
+//
+// and −A1 ⪯ A2 ⪯ A1 (their sum is 4Cr/h ⪰ 0, their difference 2Gr ⪰ 0)
+// bounds every |μ| by 1: the modal recurrence is stable. In the modal
+// state x = Φ·y, with B̃ = Φᵀ·B (q×p) and S = B̃ᵀ·B̃ = Bᵀ·A1⁻¹·B (p×p), a
+// step is
+//
+//	z = μ⊙y + B̃·i,   u_z = B̃ᵀ·z,
+//	u − u_z − S·i(t, V0 + u) = 0   (Newton, Jacobian I − S·diag(∂i/∂v)),
+//	y⁺ = z + B̃·i(t, V0 + u),
+//
+// iterated until max|Δu| < Tol. A step costs q + 3·q·p multiply-adds
+// around a p×p Newton solve; no q×q matrix is touched after the
+// decomposition, which depends only on the model and h. Samples lie on
+// the exact grid t = k·Dt, k = 0..round(TStop/Dt).
 //
 // This is the "dedicated engine embedded into the noise analysis tool" of
 // the paper's §2, and the source of its speed-up over the transistor-level
@@ -263,10 +280,14 @@ func (r *EngineResult) Waveform(k int) *wave.Waveform {
 // many unknowns as the cluster has ports. The context is checked
 // periodically between timesteps so a cancelled analysis stops
 // mid-transient; a nil context disables cancellation. Invalid options are
-// reported as an *OptionsError.
+// reported as an *OptionsError. A model whose Gr or Cr is not exactly
+// symmetric, or whose A1 is not positive definite, is reported as an
+// error wrapping linalg.ErrNotSymmetric or linalg.ErrNotPositiveDefinite;
+// the engine never symmetrizes its input.
 //
 // Each call allocates its own workspace, which the returned result keeps;
-// cluster evaluations instead reuse the workspace of their RigPool.
+// cluster evaluations instead reuse the workspace of their RigPool, which
+// also keeps the decomposition across runs of the same model and step.
 func RunEngine(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 []float64, opts EngineOptions) (*EngineResult, error) {
 	ws := &engineWorkspace{}
 	if err := ws.run(ctx, red, sources, v0, opts); err != nil {
@@ -275,29 +296,45 @@ func RunEngine(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 [
 	return &EngineResult{Times: ws.times, PortV: ws.portV, Ports: append([]string(nil), red.Ports...)}, nil
 }
 
-// engineWorkspace holds every buffer of a macromodel engine run: the
-// factored system matrix, the port-space precomputations W and S, the
-// per-step vectors and the recorded port voltages. A run overwrites all of
-// it, so one workspace serves any sequence of runs, and a run with the
-// same q, p and step count as the previous one allocates nothing. The
-// recorded samples (times, portV) stay valid until the next run on the
-// workspace; anything handed out of an evaluation is copied from them.
+// engineWorkspace holds every buffer of a macromodel engine run: the modal
+// decomposition of the reduced model, the per-step vectors and the
+// recorded port voltages. A run overwrites the per-step state, so one
+// workspace serves any sequence of runs, and a run with the same q, p and
+// step count as the previous one allocates nothing. The recorded samples
+// (times, portV) stay valid until the next run on the workspace; anything
+// handed out of an evaluation is copied from them.
+//
+// The decomposition is memoized for the last (model, step) pair: the
+// alignment search and feasibility scenarios of one cluster run the same
+// model many times and decompose it once. mor.Reduced is immutable after
+// Reduce, so its pointer identifies its matrices, and the workspace's
+// reference keeps the address from being reused by another model.
 //
 // A workspace is not safe for concurrent use: a RigPool owns one for its
 // analysis worker (see Cluster.engineWorkspace).
 type engineWorkspace struct {
-	a1, a2 linalg.Matrix       // q×q: 2Cr/h + Gr and 2Cr/h − Gr
-	a1LU   *linalg.LUWorkspace // factorization of a1, fixed for the run
-	w, s   []float64           // A1⁻¹B (q×p) and BᵀA1⁻¹B (p×p), row-major
-	jac    linalg.Matrix       // p×p Newton Jacobian I − S·diag(∂i/∂v)
-	jacLU  *linalg.LUWorkspace
+	key     modalKey      // model and step the decomposition below belongs to
+	l, m, v linalg.Matrix // q×q: Cholesky factor of A1, L⁻¹A2L⁻ᵀ diagonalized in place, its eigenvectors V
+	mu      []float64     // q modal eigenvalues, |μ| ≤ 1
+	bt      []float64     // B̃ = ΦᵀB, q×p column-major: port k's column is bt[k*q:(k+1)*q]
+	s       []float64     // S = B̃ᵀB̃ (p×p), row-major
+	jac     linalg.Matrix // p×p Newton Jacobian I − S·diag(∂i/∂v)
+	jacLU   *linalg.LUWorkspace
 
-	x, hist, z, col                 []float64 // q
+	y, z                            []float64 // q: modal state and its history part
 	u, uz, g, du, icur, didv, iPrev []float64 // p
 
 	times []float64   // recorded sample times
 	portV [][]float64 // [port][step], absolute volts; rows of vbuf
 	vbuf  []float64
+}
+
+// modalKey identifies the (model, step) pair a workspace's decomposition
+// was computed for.
+type modalKey struct {
+	red  *mor.Reduced
+	h    float64
+	q, p int
 }
 
 // run integrates one engine transient into the workspace buffers; see
@@ -323,12 +360,12 @@ func (ws *engineWorkspace) run(ctx context.Context, red *mor.Reduced, sources []
 	if err := ws.setup(red, h, nsteps); err != nil {
 		return err
 	}
-	b, w, s := red.B.Data, ws.w, ws.s
-	x, hist, z := ws.x, ws.hist, ws.z
+	mu, bt, s := ws.mu, ws.bt, ws.s
+	y, z := ws.y, ws.z
 	u, uz, g, du, icur, didv, iPrev := ws.u, ws.uz, ws.g, ws.du, ws.icur, ws.didv, ws.iPrev
 
 	// Quiet point: zero state, initial port currents.
-	clear(x)
+	clear(y)
 	clear(u)
 	for k, src := range sources {
 		if d, ok := src.(DynamicPort); ok {
@@ -345,20 +382,15 @@ func (ws *engineWorkspace) run(ctx context.Context, red *mor.Reduced, sources []
 			}
 		}
 		t := float64(step) * h
-		// hist = A2·x + B·i_prev; z = A1⁻¹hist; u_z = Bᵀz.
-		ws.a2.MulVecInto(hist, x)
-		for r := 0; r < q; r++ {
-			acc := 0.0
-			for k, bv := range b[r*p : (r+1)*p] {
-				acc += bv * iPrev[k]
-			}
-			hist[r] += acc
+		// z = μ⊙y + B̃·i_prev; u_z = B̃ᵀz.
+		for r, m := range mu {
+			z[r] = m * y[r]
 		}
-		ws.a1LU.SolveInto(z, hist)
-		for k := 0; k < p; k++ {
+		addColumns(z, bt, iPrev)
+		for k := range uz {
 			acc := 0.0
-			for r := 0; r < q; r++ {
-				acc += b[r*p+k] * z[r]
+			for r, bv := range bt[k*q : (k+1)*q] {
+				acc += bv * z[r]
 			}
 			uz[k] = acc
 		}
@@ -399,24 +431,30 @@ func (ws *engineWorkspace) run(ctx context.Context, red *mor.Reduced, sources []
 			return fmt.Errorf("core: macromodel Newton did not converge at t=%.3gps", t*1e12)
 		}
 		// Accept: the port currents at the solved voltages feed both the
-		// state update x = z + W·i and the next step's trapezoidal
-		// history; stateful sources advance their companions.
+		// state update y = z + B̃·i and the next step's history; stateful
+		// sources advance their companions.
 		for k, src := range sources {
 			iPrev[k], _ = src.Current(t, v0[k]+u[k])
 			if d, ok := src.(DynamicPort); ok {
 				d.Commit(t, v0[k]+u[k])
 			}
 		}
-		for r := 0; r < q; r++ {
-			acc := z[r]
-			for k, wv := range w[r*p : (r+1)*p] {
-				acc += wv * iPrev[k]
-			}
-			x[r] = acc
-		}
+		copy(y, z)
+		addColumns(y, bt, iPrev)
 		ws.record(step, t, v0)
 	}
 	return nil
+}
+
+// addColumns adds B̃·i to dst, with B̃ stored column-major as in
+// engineWorkspace.bt.
+func addColumns(dst, bt, i []float64) {
+	q := len(dst)
+	for k, ik := range i {
+		for r, bv := range bt[k*q : (k+1)*q] {
+			dst[r] += bv * ik
+		}
+	}
 }
 
 // runModels runs the engine on a cluster's reduced model, quiet levels and
@@ -425,53 +463,19 @@ func (ws *engineWorkspace) runModels(ctx context.Context, models *Models, source
 	return ws.run(ctx, models.Red, sources, models.V0, EngineOptions{Dt: opts.Dt, TStop: opts.TStop})
 }
 
-// setup sizes the workspace for a run of red at step h with nsteps steps,
-// forms and factors the trapezoidal system matrices, and precomputes the
-// port-space operators W = A1⁻¹B and S = BᵀW.
+// setup prepares the workspace for a run of red at step h with nsteps
+// steps: it decomposes the model unless the memoized decomposition
+// already belongs to (red, h), and sizes the recorded samples.
 func (ws *engineWorkspace) setup(red *mor.Reduced, h float64, nsteps int) error {
-	q, p := red.Q, len(red.Ports)
-	reshape(&ws.a1, q, q)
-	reshape(&ws.a2, q, q)
-	reshape(&ws.jac, p, p)
-	twoOverH := 2 / h
-	for i, cv := range red.Cr.Data {
-		cv *= twoOverH
-		ws.a1.Data[i] = cv + red.Gr.Data[i]
-		ws.a2.Data[i] = cv - red.Gr.Data[i]
-	}
-	ws.a1LU = sizedLU(ws.a1LU, q)
-	ws.jacLU = sizedLU(ws.jacLU, p)
-	if err := ws.a1LU.Factor(&ws.a1); err != nil {
-		return fmt.Errorf("core: singular macromodel system matrix: %w", err)
-	}
-	for _, v := range []*[]float64{&ws.x, &ws.hist, &ws.z, &ws.col} {
-		*v = grow(*v, q)
-	}
-	for _, v := range []*[]float64{&ws.u, &ws.uz, &ws.g, &ws.du, &ws.icur, &ws.didv, &ws.iPrev} {
-		*v = grow(*v, p)
-	}
-	ws.w = grow(ws.w, q*p)
-	ws.s = grow(ws.s, p*p)
-	b := red.B.Data
-	for k := 0; k < p; k++ {
-		for r := 0; r < q; r++ {
-			ws.col[r] = b[r*p+k]
+	key := modalKey{red: red, h: h, q: red.Q, p: len(red.Ports)}
+	if ws.key != key {
+		ws.key = modalKey{}
+		if err := ws.decompose(red, h); err != nil {
+			return err
 		}
-		ws.a1LU.SolveInto(ws.z, ws.col)
-		for r := 0; r < q; r++ {
-			ws.w[r*p+k] = ws.z[r]
-		}
+		ws.key = key
 	}
-	for a := 0; a < p; a++ {
-		for c := 0; c < p; c++ {
-			acc := 0.0
-			for r := 0; r < q; r++ {
-				acc += b[r*p+a] * ws.w[r*p+c]
-			}
-			ws.s[a*p+c] = acc
-		}
-	}
-
+	p := len(red.Ports)
 	n := nsteps + 1
 	ws.times = grow(ws.times, n)
 	ws.vbuf = grow(ws.vbuf, p*n)
@@ -481,6 +485,90 @@ func (ws *engineWorkspace) setup(red *mor.Reduced, h float64, nsteps int) error 
 	ws.portV = ws.portV[:p]
 	for k := range ws.portV {
 		ws.portV[k] = ws.vbuf[k*n : (k+1)*n : (k+1)*n]
+	}
+	return nil
+}
+
+// decompose sizes the per-step buffers for red and computes its modal
+// form at step h (see RunEngine): the eigenvalues μ, B̃ = ΦᵀB and
+// S = B̃ᵀB̃.
+func (ws *engineWorkspace) decompose(red *mor.Reduced, h float64) error {
+	if !red.Gr.IsSymmetric() || !red.Cr.IsSymmetric() {
+		return fmt.Errorf("core: reduced model Gr/Cr: %w", linalg.ErrNotSymmetric)
+	}
+	q, p := red.Q, len(red.Ports)
+	reshape(&ws.l, q, q)
+	reshape(&ws.m, q, q)
+	reshape(&ws.v, q, q)
+	reshape(&ws.jac, p, p)
+	ws.jacLU = sizedLU(ws.jacLU, p)
+	for _, v := range []*[]float64{&ws.mu, &ws.y, &ws.z} {
+		*v = grow(*v, q)
+	}
+	for _, v := range []*[]float64{&ws.u, &ws.uz, &ws.g, &ws.du, &ws.icur, &ws.didv, &ws.iPrev} {
+		*v = grow(*v, p)
+	}
+	ws.bt = grow(ws.bt, q*p)
+	ws.s = grow(ws.s, p*p)
+
+	twoOverH := 2 / h
+	for i, cv := range red.Cr.Data {
+		cv *= twoOverH
+		ws.l.Data[i] = cv + red.Gr.Data[i]
+		ws.m.Data[i] = cv - red.Gr.Data[i]
+	}
+	if err := linalg.Cholesky(&ws.l); err != nil {
+		return fmt.Errorf("core: macromodel system matrix 2Cr/h + Gr: %w", err)
+	}
+	// M = L⁻¹·A2·L⁻ᵀ. A2 is symmetric, so its rows are its columns:
+	// solving every row in place leaves (L⁻¹A2)ᵀ, and transposing and
+	// solving again leaves Mᵀ. M is symmetric up to the rounding of the
+	// two solves, which averaging with the transpose removes.
+	m := ws.m.Data
+	for r := 0; r < q; r++ {
+		linalg.SolveLower(&ws.l, m[r*q:(r+1)*q])
+	}
+	for r := 0; r < q; r++ {
+		for c := r + 1; c < q; c++ {
+			m[r*q+c], m[c*q+r] = m[c*q+r], m[r*q+c]
+		}
+	}
+	for r := 0; r < q; r++ {
+		linalg.SolveLower(&ws.l, m[r*q:(r+1)*q])
+	}
+	for r := 0; r < q; r++ {
+		for c := r + 1; c < q; c++ {
+			avg := 0.5 * (m[r*q+c] + m[c*q+r])
+			m[r*q+c], m[c*q+r] = avg, avg
+		}
+	}
+	if err := linalg.SymEigen(&ws.m, ws.mu, &ws.v); err != nil {
+		return fmt.Errorf("core: macromodel modal decomposition: %w", err)
+	}
+	// B̃ = ΦᵀB = Vᵀ·L⁻¹·B, one port column at a time (z is scratch here).
+	b, v := red.B.Data, ws.v.Data
+	for k := 0; k < p; k++ {
+		for r := 0; r < q; r++ {
+			ws.z[r] = b[r*p+k]
+		}
+		linalg.SolveLower(&ws.l, ws.z)
+		col := ws.bt[k*q : (k+1)*q]
+		for c := range col {
+			acc := 0.0
+			for r, zr := range ws.z {
+				acc += v[r*q+c] * zr
+			}
+			col[c] = acc
+		}
+	}
+	for a := 0; a < p; a++ {
+		for c := 0; c < p; c++ {
+			acc := 0.0
+			for r, bv := range ws.bt[a*q : (a+1)*q] {
+				acc += bv * ws.bt[c*q+r]
+			}
+			ws.s[a*p+c] = acc
+		}
 	}
 	return nil
 }

@@ -11,7 +11,7 @@ import (
 	"stanoise/paper"
 )
 
-// TestEngineMatchesQQOracle is the differential test of the port-space
+// TestEngineMatchesQQOracle is the differential test of the modal
 // engine against the q×q oracle it replaced: identical production port
 // sources, identical grids, every port sample within 1e-12 V. It covers
 // the paper's Table 1 and Table 2 clusters and generated-design clusters
@@ -111,7 +111,7 @@ func TestEngineMatchesQQOracle(t *testing.T) {
 					t.Fatalf("%s oracle: %v", name, err)
 				}
 				if d := core.MaxPortDeviation(t, got, want); d > core.OracleTolV {
-					t.Errorf("%s: port-space engine deviates %g V from the q×q oracle", name, d)
+					t.Errorf("%s: modal engine deviates %g V from the q×q oracle", name, d)
 				} else {
 					t.Logf("%s: max deviation %.3g V", name, d)
 				}

@@ -252,7 +252,7 @@ func TestEngineWorkspaceProbeAllocFree(t *testing.T) {
 }
 
 // TestEngineMatchesOracleOnLadder is the smallest differential check of
-// the port-space engine against the q×q oracle: an RC ladder with a
+// the modal engine against the q×q oracle: an RC ladder with a
 // Thevenin ramp, a holding victim and a Miller-style CapPort inside a
 // ParallelPort.
 func TestEngineMatchesOracleOnLadder(t *testing.T) {
@@ -273,12 +273,87 @@ func TestEngineMatchesOracleOnLadder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := maxPortDeviation(t, got, want); d > oracleTolV {
-		t.Fatalf("port-space engine deviates %g V from the q×q oracle", d)
+	d := maxPortDeviation(t, got, want)
+	if d > oracleTolV {
+		t.Fatalf("modal engine deviates %g V from the q×q oracle", d)
+	}
+	t.Logf("max deviation %.3g V", d)
+}
+
+// TestEngineRejectsNonSymmetricDefinite pins the engine's input
+// contract: the modal decomposition needs Gr and Cr exactly symmetric and
+// A1 = 2Cr/h + Gr positive definite, and the engine reports a model that
+// breaks either as a typed error instead of symmetrizing or diverging.
+func TestEngineRejectsNonSymmetricDefinite(t *testing.T) {
+	mat := func(d ...float64) *linalg.Matrix { return &linalg.Matrix{Rows: 2, Cols: 2, Data: d} }
+	cr := mat(1e-15, 0, 0, 1e-15)
+	b := mat(1, 0, 0, 1)
+	cases := []struct {
+		name string
+		red  *mor.Reduced
+		want error
+	}{
+		{"nonsymmetric_Gr", &mor.Reduced{Gr: mat(1e-3, -1e-3, -1.001e-3, 1e-3), Cr: cr, B: b, Q: 2}, linalg.ErrNotSymmetric},
+		{"nonsymmetric_Cr", &mor.Reduced{Gr: mat(1e-3, 0, 0, 1e-3), Cr: mat(1e-15, 1e-16, 0, 1e-15), B: b, Q: 2}, linalg.ErrNotSymmetric},
+		// 2Cr/h = 2 mS at 1 ps: a −1 S conductance makes A1 indefinite.
+		{"indefinite_A1", &mor.Reduced{Gr: mat(-1, 0, 0, 1e-3), Cr: cr, B: b, Q: 2}, linalg.ErrNotPositiveDefinite},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.red.Ports = []string{"a", "b"}
+			_, err := RunEngine(context.Background(), tc.red, []PortSource{OpenPort{}, OpenPort{}}, []float64{0, 0},
+				EngineOptions{Dt: 1e-12, TStop: 10e-12})
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want %v", err, tc.want)
+			}
+		})
 	}
 }
 
-// oracleTolV is the agreement the port-space engine must keep with the
+// TestEngineWorkspaceMemoKeyed pins the decomposition memo: one workspace
+// alternating between models and steps reproduces a fresh RunEngine
+// bit for bit on every run, so a memoized decomposition is only reused
+// for its own (model, step) pair.
+func TestEngineWorkspaceMemoKeyed(t *testing.T) {
+	redA := reducedLadder(t, 8, 50, 10e-15)
+	redB := reducedLadder(t, 5, 80, 6e-15)
+	mk := func() []PortSource {
+		return []PortSource{
+			&TheveninPort{W: wave.SaturatedRamp(0, 1.2, 50e-12, 60e-12), RTh: 400},
+			&HoldingPort{G: 1e-3, V0: 0},
+		}
+	}
+	ws := &engineWorkspace{}
+	for i, run := range []struct {
+		red *mor.Reduced
+		dt  float64
+	}{{redA, 1e-12}, {redA, 1e-12}, {redB, 1e-12}, {redA, 2e-12}, {redA, 1e-12}} {
+		opts := EngineOptions{Dt: run.dt, TStop: 500e-12}
+		if err := ws.run(context.Background(), run.red, mk(), []float64{0, 0}, opts); err != nil {
+			t.Fatal(err)
+		}
+		want, err := RunEngine(context.Background(), run.red, mk(), []float64{0, 0}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range want.PortV {
+			for j, v := range want.PortV[k] {
+				if ws.portV[k][j] != v {
+					t.Fatalf("run %d port %d sample %d: workspace %v, fresh %v", i, k, j, ws.portV[k][j], v)
+				}
+			}
+		}
+		// −A1 ⪯ A2 ⪯ A1 bounds the modal eigenvalues: the recurrence
+		// is stable.
+		for r, m := range ws.mu {
+			if math.Abs(m) > 1+1e-12 {
+				t.Fatalf("run %d: |μ[%d]| = %g > 1", i, r, math.Abs(m))
+			}
+		}
+	}
+}
+
+// oracleTolV is the agreement the modal engine must keep with the
 // q×q oracle on every port sample.
 const oracleTolV = 1e-12
 
@@ -366,10 +441,10 @@ func TestCapPortDifferentiates(t *testing.T) {
 	}
 }
 
-// runEngineQQ is the full-state engine the port-space RunEngine replaced,
-// kept as the oracle of the differential tests: Newton on all q reduced
-// states, assembling and factoring the q×q Jacobian A1 − B·diag(∂i/∂v)·Bᵀ
-// on every iteration, converging on max|Δx|. It shares RunEngine's exact
+// runEngineQQ is the full-state engine RunEngine replaced, kept as the
+// oracle of the differential tests: Newton on all q reduced states,
+// assembling and factoring the q×q Jacobian A1 − B·diag(∂i/∂v)·Bᵀ on
+// every iteration, converging on max|Δx|. It shares RunEngine's exact
 // time grid t = k·Dt, so the two differ only in how each step's nonlinear
 // system is solved.
 func runEngineQQ(ctx context.Context, red *mor.Reduced, sources []PortSource, v0 []float64, opts EngineOptions) (*EngineResult, error) {

@@ -170,13 +170,14 @@ func (c *Cluster) evaluateGolden(ctx context.Context, opts EvalOptions) (*Evalua
 		rig.sess.SetSource(rig.prog.MustSource(fmt.Sprintf("vagg%d_%s", i, a.SwitchPin)),
 			a.aggressorInputWave())
 	}
+	res := c.resultLocked(rig)
 	start := time.Now()
-	if err := rig.sess.RunTransientInto(ctx, &rig.res, opts.TStop); err != nil {
+	if err := rig.sess.RunTransientInto(ctx, res, opts.TStop); err != nil {
 		return nil, fmt.Errorf("core: golden simulation: %w", err)
 	}
 	elapsed := time.Since(start)
-	dp := rig.res.Waveform(c.Bus.InNode(c.Victim.Line))
-	recv := rig.res.Waveform(c.Bus.OutNode(c.Victim.Line))
+	dp := res.Waveform(c.Bus.InNode(c.Victim.Line))
+	recv := res.Waveform(c.Bus.OutNode(c.Victim.Line))
 	return c.finish(Golden, dp, recv, elapsed), nil
 }
 
@@ -372,10 +373,23 @@ func (c *Cluster) DriverAloneResponse(ctx context.Context, models *Models, opts 
 		clump = 0
 	}
 	rig.sess.SetLoad(rig.prog.MustCap("cl"), clump)
-	if err := rig.sess.RunTransientInto(ctx, &rig.res, opts.TStop); err != nil {
+	res := c.resultLocked(rig)
+	if err := rig.sess.RunTransientInto(ctx, res, opts.TStop); err != nil {
 		return nil, fmt.Errorf("core: driver-alone simulation: %w", err)
 	}
-	return rig.res.Waveform("out"), nil
+	return res.Waveform("out"), nil
+}
+
+// resultLocked returns the transient result storage for a run of rig: the
+// attached pool's single shared result, or the rig's own when no pool is
+// attached. Both callers copy their waveforms out before releasing
+// c.rigMu, so one result serves every bench of a pool. The caller must
+// hold c.rigMu.
+func (c *Cluster) resultLocked(rig *simRig) *sim.Result {
+	if c.rigPool != nil {
+		return &c.rigPool.res
+	}
+	return &rig.res
 }
 
 // driverRigLocked returns the compiled driver-alone bench, compiling it on
@@ -595,8 +609,8 @@ func (c *Cluster) AlignWorstCase(ctx context.Context, models *Models, opts EvalO
 	// greedy coordinate ascent on the macromodel peak, one aggressor at a
 	// time — each probe is a fast reduced-order run.
 	const (
-		window = 80e-12
 		step   = 20e-12
+		probes = 4 // per side: the search window is ±probes·step = ±80 ps
 		passes = 2
 	)
 	best, err := c.macromodelPeak(ctx, ws, models, opts)
@@ -611,10 +625,13 @@ func (c *Cluster) AlignWorstCase(ctx context.Context, models *Models, opts EvalO
 			}
 			base := c.Aggressors[i].Offset
 			bestOff := base
-			for off := base - window; off <= base+window+step/2; off += step {
-				if off == base {
+			// Index the grid by k so it holds base exactly and never
+			// re-probes it; an accumulated off += step drifts by ulps.
+			for k := -probes; k <= probes; k++ {
+				if k == 0 {
 					continue
 				}
+				off := base + float64(k)*step
 				c.Aggressors[i].Offset = off
 				p, err := c.macromodelPeak(ctx, ws, models, opts)
 				if err != nil {

@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
 	"stanoise/internal/cell"
 	"stanoise/internal/charlib"
 	"stanoise/internal/interconnect"
+	"stanoise/internal/sim"
 	"stanoise/internal/tech"
 	"stanoise/internal/wave"
 )
@@ -281,6 +283,41 @@ func TestAlignWorstCaseAlignsPeaks(t *testing.T) {
 	}
 	if aligned.Metrics.Peak < misaligned.Metrics.Peak-1e-6 {
 		t.Errorf("aligned peak %v < misaligned peak %v", aligned.Metrics.Peak, misaligned.Metrics.Peak)
+	}
+}
+
+// TestAlignWorstCaseProbeCount pins the coordinate-ascent grid: every
+// pass probes exactly 8 offsets per switching aggressor (±4 steps around
+// the current offset, which is never re-run), after one timing run per
+// switching aggressor and one run at the peak-aligned offsets. A quiet
+// aggressor is never probed.
+func TestAlignWorstCaseProbeCount(t *testing.T) {
+	for _, tc := range []struct {
+		nAgg  int
+		quiet int // index of a quiet aggressor, or −1
+	}{{1, -1}, {2, -1}, {3, -1}, {3, 1}} {
+		t.Run(fmt.Sprintf("agg%d_quiet%d", tc.nAgg, tc.quiet), func(t *testing.T) {
+			c := fastCluster(t, tc.nAgg)
+			switching := tc.nAgg
+			if tc.quiet >= 0 {
+				c.Aggressors[tc.quiet].Quiet = true
+				switching--
+			}
+			models, err := c.BuildModels(context.Background(), ModelOptions{SkipProp: true, LoadCurve: charlib.LoadCurveOptions{NVin: 41, NVout: 41}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := sim.Snapshot()
+			if err := c.AlignWorstCase(context.Background(), models, fastEvalOptions()); err != nil {
+				t.Fatal(err)
+			}
+			probes := sim.Snapshot().Sub(before).EngineRuns - int64(switching) - 1
+			perPass := int64(8 * switching)
+			if probes != perPass && probes != 2*perPass {
+				t.Fatalf("%d ascent probes for %d switching aggressors, want %d per pass over 1 or 2 passes",
+					probes, switching, perPass)
+			}
+		})
 	}
 }
 

@@ -50,6 +50,11 @@ type RigPool struct {
 	// evaluated through the pool (see Cluster.engineWorkspace). It holds
 	// no library-derived state, so Invalidate leaves it in place.
 	engine *engineWorkspace
+	// res is the transient result storage shared by every pooled bench
+	// (see Cluster.resultLocked): a run's waveforms are copied out before
+	// the next run, so one result sized to the largest bench replaces a
+	// full node×step buffer per bench.
+	res sim.Result
 }
 
 // pooledEntry pairs a bench with its last-use stamp for LRU eviction and

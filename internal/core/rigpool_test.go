@@ -4,6 +4,10 @@ import (
 	"context"
 	"fmt"
 	"testing"
+
+	"stanoise/internal/cell"
+	"stanoise/internal/sim"
+	"stanoise/internal/wave"
 )
 
 // TestRigPoolSharesDriverBenches asserts the cross-cluster payoff of the
@@ -234,5 +238,85 @@ func TestRigPoolDistinguishesTopologies(t *testing.T) {
 	}
 	if hits, misses := pool.Stats(); misses != 2 || hits != 0 {
 		t.Fatalf("pool stats hits=%d misses=%d, want 2 misses (distinct topologies)", hits, misses)
+	}
+}
+
+// TestRigPoolSharesOneResult pins the pool's single transient result:
+// driver-alone runs of two victim classes alternating through one pool
+// run into the pool's result, never into a per-bench one, allocate
+// nothing in it once it is sized for both, and produce the same waveforms
+// as clusters without a pool.
+func TestRigPoolSharesOneResult(t *testing.T) {
+	ctx := context.Background()
+	models := &Models{LumpedCL: 60e-15}
+	opts := fastEvalOptions()
+	invVictim := func(c *Cluster) *Cluster {
+		inv := cell.MustNew(c.Tech, "INV", 1)
+		st, err := inv.SensitizedState("A", true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Victim.Cell, c.Victim.State, c.Victim.NoisyPin = inv, st, "A"
+		return c
+	}
+	var refs [2]*wave.Waveform
+	for i, c := range []*Cluster{fastCluster(t, 1), invVictim(fastCluster(t, 1))} {
+		w, err := c.DriverAloneResponse(ctx, models, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs[i] = w
+	}
+
+	pool := NewRigPool()
+	clusters := []*Cluster{fastCluster(t, 1), invVictim(fastCluster(t, 1))}
+	for _, c := range clusters {
+		c.UseRigPool(pool)
+	}
+	for round := 0; round < 3; round++ {
+		for i, c := range clusters {
+			w, err := c.DriverAloneResponse(ctx, models, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(w.V) != len(refs[i].V) {
+				t.Fatalf("class %d: %d samples, unpooled %d", i, len(w.V), len(refs[i].V))
+			}
+			for k := range w.V {
+				if w.V[k] != refs[i].V[k] {
+					t.Fatalf("class %d round %d: pooled sample %d = %v, unpooled %v", i, round, k, w.V[k], refs[i].V[k])
+				}
+			}
+		}
+	}
+	if pool.Len() != 2 {
+		t.Fatalf("pool holds %d benches, want one per victim class", pool.Len())
+	}
+
+	// Re-run both pooled benches alternately straight into the shared
+	// result: once it is sized for both classes, nothing is allocated.
+	n := opts.normalize(clusters[0])
+	rigs := make([]*simRig, len(clusters))
+	for i, c := range clusters {
+		c.rigMu.Lock()
+		rig, err := c.driverRigLocked(sim.Options{Dt: n.Dt})
+		c.rigMu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(rig.res.Times) != 0 {
+			t.Fatalf("class %d: pooled bench filled its own result", i)
+		}
+		rigs[i] = rig
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		for _, rig := range rigs {
+			if err := rig.sess.RunTransientInto(ctx, &pool.res, n.TStop); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("alternating classes allocate %.1f objects per pair in the shared result, want 0", allocs)
 	}
 }

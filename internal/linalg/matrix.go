@@ -1,7 +1,9 @@
 // Package linalg provides the small dense linear-algebra kernel used by the
-// circuit simulator and the model-order-reduction engine: dense matrices,
-// LU factorisation with partial pivoting, and modified Gram–Schmidt
-// orthonormalisation for block Krylov subspaces.
+// circuit simulator, the model-order-reduction engine and the macromodel
+// engine: dense matrices, LU factorisation with partial pivoting, modified
+// Gram–Schmidt orthonormalisation for block Krylov subspaces, and the
+// Cholesky factorisation and Jacobi eigen-decomposition of symmetric
+// matrices.
 //
 // The matrices involved in static noise analysis are small (tens to a few
 // hundred unknowns for a noise cluster, around a dozen for a reduced

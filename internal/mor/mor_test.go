@@ -139,22 +139,40 @@ func TestReduceCoupledLines(t *testing.T) {
 	}
 }
 
+// TestReducedSymmetry pins that Reduce returns bitwise symmetric Gr and
+// Cr — the macromodel engine rejects anything else — on a single-port
+// ladder and on a three-port coupled pair.
 func TestReducedSymmetry(t *testing.T) {
 	net, nodes := ladder(8, 10, 2e-15)
 	red, err := Reduce(net, []string{nodes[0]}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gTol := 1e-13 * red.Gr.MaxAbs()
-	cTol := 1e-13 * red.Cr.MaxAbs()
-	for i := 0; i < red.Q; i++ {
-		for j := 0; j < red.Q; j++ {
-			if math.Abs(red.Gr.At(i, j)-red.Gr.At(j, i)) > gTol {
-				t.Errorf("Gr not symmetric at %d,%d", i, j)
-			}
-			if math.Abs(red.Cr.At(i, j)-red.Cr.At(j, i)) > cTol {
-				t.Errorf("Cr not symmetric at %d,%d", i, j)
-			}
+	cnodes := make([]string, len(nodes))
+	for i, n := range nodes {
+		cnodes[i] = "b" + n
+	}
+	all := append(append([]string(nil), nodes...), cnodes...)
+	pair := NewNetwork(all)
+	for i := 0; i < 8; i++ {
+		pair.AddR(nodes[i], nodes[i+1], 10)
+		pair.AddR(cnodes[i], cnodes[i+1], 7)
+		pair.AddC(nodes[i], cnodes[i], 4e-15)
+	}
+	for i := 0; i <= 8; i++ {
+		pair.AddC(nodes[i], "0", 2e-15)
+		pair.AddC(cnodes[i], "0", 3e-15)
+	}
+	redPair, err := Reduce(pair, []string{nodes[0], cnodes[0], nodes[8]}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range map[string]*Reduced{"ladder": red, "coupled": redPair} {
+		if !r.Gr.IsSymmetric() {
+			t.Errorf("%s: Gr is not bitwise symmetric", name)
+		}
+		if !r.Cr.IsSymmetric() {
+			t.Errorf("%s: Cr is not bitwise symmetric", name)
 		}
 	}
 	// Cr must be positive on the diagonal (passive storage).

@@ -13,6 +13,10 @@ import (
 // where i(t) are the currents injected into the ports. It is the circuit
 // the paper draws as the coupled S-model between the victim driver VCCS and
 // the aggressor Thevenin sources.
+//
+// Gr and Cr are exactly symmetric (see Reduce). A Reduced is immutable
+// once Reduce returns it: nothing writes to its matrices or fields
+// afterwards, so consumers may memoize work derived from it by pointer.
 type Reduced struct {
 	Gr, Cr *linalg.Matrix // q×q reduced conductance and capacitance
 	B      *linalg.Matrix // q×p projected port incidence
@@ -49,7 +53,10 @@ func (o Options) normalize() Options {
 // ports. The projection is a block Arnoldi iteration on
 // (G + s0·C)⁻¹·C with starting block (G + s0·C)⁻¹·B, orthonormalised with
 // modified Gram–Schmidt; the congruence transform Gr = XᵀGX, Cr = XᵀCX
-// preserves passivity.
+// preserves passivity. The transform is symmetric in exact arithmetic;
+// Gr and Cr are returned averaged with their transposes, so they are
+// bitwise symmetric as the macromodel engine's symmetric-definite
+// decomposition requires.
 func Reduce(net *Network, ports []string, opts Options) (*Reduced, error) {
 	opts = opts.normalize()
 	bFull, err := net.incidence(ports)
@@ -119,13 +126,27 @@ func Reduce(net *Network, ports []string, opts Options) (*Reduced, error) {
 	}
 	xt := x.Transpose()
 	red := &Reduced{
-		Gr:    linalg.Mul(xt, linalg.Mul(net.G, x)),
-		Cr:    linalg.Mul(xt, linalg.Mul(net.C, x)),
+		Gr:    symmetrized(linalg.Mul(xt, linalg.Mul(net.G, x))),
+		Cr:    symmetrized(linalg.Mul(xt, linalg.Mul(net.C, x))),
 		B:     linalg.Mul(xt, bFull),
 		Ports: append([]string(nil), ports...),
 		Q:     q,
 	}
 	return red, nil
+}
+
+// symmetrized replaces the square matrix m by (m + mᵀ)/2 in place and
+// returns it. Each mirrored pair is averaged by the same floating-point
+// sum, so the result is bitwise symmetric.
+func symmetrized(m *linalg.Matrix) *linalg.Matrix {
+	n := m.Rows
+	for r := 0; r < n; r++ {
+		for c := r + 1; c < n; c++ {
+			avg := 0.5 * (m.Data[r*n+c] + m.Data[c*n+r])
+			m.Data[r*n+c], m.Data[c*n+r] = avg, avg
+		}
+	}
+	return m
 }
 
 // PortIndex returns the column of a named port in B, or -1.
