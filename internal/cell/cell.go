@@ -204,6 +204,20 @@ func MustNew(t *tech.Tech, kind string, drive int) *Cell {
 // Name returns the library name, e.g. "NAND2_X2".
 func (c *Cell) Name() string { return fmt.Sprintf("%s_X%d", c.Kind, c.Drive) }
 
+// Fingerprint renders the cell's identity: its card's tech.Tech.Fingerprint
+// plus the library name, which embeds kind and drive. Within one build of
+// this package that determines the transistor netlist, so in-process keys
+// (the charlib cache, core's compiled-bench pools) use it directly; the
+// persistent store additionally hashes the rendered netlist to stay exact
+// across versions of the cell templates. A nil cell (an absent receiver)
+// renders "nil".
+func (c *Cell) Fingerprint() string {
+	if c == nil {
+		return "nil"
+	}
+	return c.Tech.Fingerprint() + " cell=" + c.Name()
+}
+
 // Inputs returns the input pin names.
 func (c *Cell) Inputs() []string { return append([]string(nil), c.sp.inputs...) }
 

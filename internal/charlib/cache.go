@@ -9,7 +9,6 @@ import (
 
 	"stanoise/internal/cell"
 	"stanoise/internal/nrc"
-	"stanoise/internal/tech"
 )
 
 // Cache is a thread-safe memoization layer over cell characterisation. A
@@ -263,38 +262,16 @@ func (c *Cache) forget(key string, f *flight) {
 }
 
 // CellKey builds a cache key for an artefact of the given kind ("lc",
-// "prop", "nrc", ...) characterised on a cell configuration. The cell name
-// embeds the drive strength, and optsFP fingerprints the characterisation
-// options so different qualities never alias. A cell built on a
-// corner-derived card (tech.Corner.Apply) additionally keys on the corner
-// fingerprint, so per-corner artefacts never alias in memory either; the
-// segment is absent for nominal cards, keeping legacy keys unchanged. This
-// is the *in-memory* key; the persistent tier derives its own
-// content-addressed key from the same configuration (plus the cell netlist,
-// tech card and model version).
+// "prop", "nrc", ...) characterised on a cell configuration. The cell is
+// keyed by its content identity (cell.Cell.Fingerprint: every device
+// parameter of its card, corner and nonlinear-cap model included, plus the
+// library name), so two cards that simulate differently never share an
+// entry even under the same name; optsFP fingerprints the characterisation
+// options so different qualities never alias. This is the *in-memory* key;
+// the persistent tier derives its content address from the same card
+// identity plus the rendered netlist and model version.
 func CellKey(kind string, cl *cell.Cell, st cell.State, pin, optsFP string) string {
-	techID := cl.Tech.Name
-	if cl.Tech.Corner != nil {
-		techID += "@" + cl.Tech.Corner.Fingerprint()
-	}
-	// Cards carrying the nonlinear gate-charge model share the base card's
-	// Name, so they must key distinctly here just like corners do; the
-	// suffix is absent on constant-cap cards, keeping legacy keys.
-	return kind + "|" + techID + nlcapFP(cl.Tech) + "|" + cl.Name() + "|" + st.String() + "|" + pin + "|" + optsFP
-}
-
-// nlcapFP is the fingerprint suffix of the nonlinear gate-charge model,
-// with the same contract as warmFP/predFP: nlcap artefacts are simulated on
-// different physics and must never alias constant-cap entries, and the
-// suffix is empty for constant-cap cards so every existing key is
-// untouched. It keys off the technology card because that is where the
-// model lives (tech.Tech.WithNonlinearCaps) — the per-device split follows
-// from the card deterministically.
-func nlcapFP(t *tech.Tech) string {
-	if t.NonlinearCaps() {
-		return ",nlcap"
-	}
-	return ""
+	return kind + "|" + cl.Fingerprint() + "|" + st.String() + "|" + pin + "|" + optsFP
 }
 
 // Artefact runs the full two-tier lookup for one artefact of the given

@@ -1,7 +1,6 @@
 package charlib
 
 import (
-	"strings"
 	"testing"
 
 	"stanoise/internal/cell"
@@ -9,32 +8,18 @@ import (
 )
 
 // TestCellKeyNLCapAxis pins the in-memory cache key on the nonlinear-cap
-// axis: a constant-cap card derives exactly the legacy key (no ",nlcap"
-// anywhere — bit-stability of every warm entry), a WithNonlinearCaps card
-// keys distinctly, and the axis composes with the corner axis without
-// aliasing.
+// axis: a WithNonlinearCaps card keys apart from its constant-cap base
+// (both carry the same Name), the axis composes with the corner axis
+// without aliasing, and the nominal tt corner keys exactly like the base
+// card, so corner-less warm entries stay shared.
 func TestCellKeyNLCapAxis(t *testing.T) {
 	base := tech.Tech130()
 	nl := base.WithNonlinearCaps()
 	st := cell.State{"A": false}
-
-	legacy := CellKey("lc", cell.MustNew(base, "INV", 1), st, "A", "q=std")
-	if strings.Contains(legacy, "nlcap") {
-		t.Fatalf("constant-cap key mentions nlcap: %q", legacy)
-	}
-	nlKey := CellKey("lc", cell.MustNew(nl, "INV", 1), st, "A", "q=std")
-	if !strings.Contains(nlKey, ",nlcap") {
-		t.Fatalf("nonlinear-cap key carries no ,nlcap marker: %q", nlKey)
-	}
-	if nlKey == legacy {
-		t.Fatalf("nl and constant-cap configurations alias to %q", legacy)
-	}
-	// The marker is the only difference: same cell, state, pin, options.
-	if strings.Replace(nlKey, ",nlcap", "", 1) != legacy {
-		t.Fatalf("nlcap marker is not purely additive:\n%q\n%q", nlKey, legacy)
+	key := func(card *tech.Tech) string {
+		return CellKey("lc", cell.MustNew(card, "INV", 1), st, "A", "q=std")
 	}
 
-	// Corner × nlcap: all four combinations distinct.
 	ss, err := tech.CornerByName("ss")
 	if err != nil {
 		t.Fatal(err)
@@ -46,10 +31,18 @@ func TestCellKeyNLCapAxis(t *testing.T) {
 		"corner":    ss.Apply(base),
 		"corner+nl": ss.Apply(nl),
 	} {
-		k := CellKey("lc", cell.MustNew(card, "INV", 1), st, "A", "q=std")
+		k := key(card)
 		if prev, ok := keys[k]; ok {
 			t.Fatalf("configurations %q and %q alias to %q", prev, name, k)
 		}
 		keys[k] = name
+	}
+
+	tt, err := tech.CornerByName("tt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := key(tt.Apply(base)), key(base); got != want {
+		t.Fatalf("tt key differs from nominal:\n%q\n%q", got, want)
 	}
 }

@@ -14,7 +14,7 @@ import (
 // derived store key is exactly the legacy one.
 func TestNominalCornerKeysBitStable(t *testing.T) {
 	base := tech.Tech130()
-	fp := TechFingerprint(base)
+	fp := base.Fingerprint()
 	if strings.Contains(fp, "Corner{") {
 		t.Fatalf("nominal fingerprint grew a corner segment: %q", fp)
 	}
@@ -23,8 +23,8 @@ func TestNominalCornerKeysBitStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	applied := tt.Apply(base)
-	if TechFingerprint(applied) != fp {
-		t.Fatalf("tt fingerprint differs from nominal:\n%q\n%q", TechFingerprint(applied), fp)
+	if applied.Fingerprint() != fp {
+		t.Fatalf("tt fingerprint differs from nominal:\n%q\n%q", applied.Fingerprint(), fp)
 	}
 
 	inv := cell.MustNew(base, "INV", 1)
@@ -61,7 +61,7 @@ func TestCornerKeysNeverAlias(t *testing.T) {
 	fps := map[string]string{}
 	for _, c := range corners {
 		card := c.Apply(base)
-		if fp := TechFingerprint(card); fps[fp] != "" && fps[fp] != c.Name {
+		if fp := card.Fingerprint(); fps[fp] != "" && fps[fp] != c.Name {
 			t.Fatalf("corners %q and %q share tech fingerprint", fps[fp], c.Name)
 		} else {
 			fps[fp] = c.Name

@@ -24,7 +24,6 @@ import (
 
 	"stanoise/internal/cell"
 	"stanoise/internal/circuit"
-	"stanoise/internal/tech"
 )
 
 // ModelVersion names the characterisation model generation. Bump it when
@@ -37,39 +36,6 @@ const ModelVersion = "1"
 // keyScheme versions the key-derivation recipe itself, separately from the
 // physics, so a change to how keys are built also invalidates cleanly.
 const keyScheme = "stanoise-charstore-key/v1"
-
-// TechFingerprint renders the device-relevant fields of a technology card
-// deterministically. Wire parasitics are deliberately excluded: they shape
-// interconnect models, not cell characterisation, and including them would
-// invalidate every cell artefact on a routing-stack edit.
-//
-// A card derived for an operating corner (tech.Corner.Apply) additionally
-// renders the corner fingerprint, so per-corner artefacts are content-
-// addressed by both the scaled parameters *and* the corner identity — two
-// corners that happened to scale to the same numbers still never alias.
-// Nominal cards render exactly the pre-corner text, keeping every existing
-// store entry reachable (asserted by TestNominalCornerKeysBitStable).
-func TechFingerprint(t *tech.Tech) string {
-	mos := func(m tech.MOSParams) string {
-		fp := fmt.Sprintf("KP=%.17g VT0=%.17g LAMBDA=%.17g CG=%.17g COV=%.17g CJ=%.17g",
-			m.KP, m.VT0, m.Lambda, m.CGatePerWL, m.COverlap, m.CJunction)
-		// The nonlinear gate-charge segment renders only on cards that
-		// carry the model (tech.Tech.WithNonlinearCaps), mirroring the
-		// Corner segment below: constant-cap cards keep the exact
-		// pre-nlcap text and every existing store entry stays reachable.
-		if m.CNLFrac != 0 {
-			fp += fmt.Sprintf(" NLCAP{frac=%.17g gd=%.17g/%.17g gs=%.17g/%.17g}",
-				m.CNLFrac, m.CNLGDP0, m.CNLGDP1, m.CNLGSP0, m.CNLGSP1)
-		}
-		return fp
-	}
-	fp := fmt.Sprintf("tech=%s VDD=%.17g Lmin=%.17g WUnit=%.17g PNRatio=%.17g NMOS{%s} PMOS{%s}",
-		t.Name, t.VDD, t.Lmin, t.WUnit, t.PNRatio, mos(t.NMOS), mos(t.PMOS))
-	if t.Corner != nil {
-		fp += " Corner{" + t.Corner.Fingerprint() + "}"
-	}
-	return fp
-}
 
 // CellNetlist renders the cell's transistor-level netlist with canonical
 // node names — the content the characterisation engine actually simulates.
@@ -93,13 +59,16 @@ func CellNetlist(c *cell.Cell) (string, error) {
 
 // Key derives the content address of one artefact under the current
 // ModelVersion. The same physical inputs always map to the same key, on
-// any machine, which is what makes exported stores portable.
+// any machine, which is what makes exported stores portable. The card
+// enters as tech.Tech.Fingerprint, the identity the in-memory tier keys on
+// too; hashing the rendered netlist on top keeps entries exact across
+// program versions whose cell templates differ.
 func Key(kind string, cl *cell.Cell, st cell.State, pin, optsFP string) (string, error) {
 	netlist, err := CellNetlist(cl)
 	if err != nil {
 		return "", fmt.Errorf("charstore: keying %s: %w", cl.Name(), err)
 	}
-	return keyFor(ModelVersion, kind, TechFingerprint(cl.Tech), netlist, st.String(), pin, optsFP), nil
+	return keyFor(ModelVersion, kind, cl.Tech.Fingerprint(), netlist, st.String(), pin, optsFP), nil
 }
 
 // keyFor is the raw recipe, split out so tests can prove that a model

@@ -16,13 +16,13 @@ import (
 // polarities and keys differently.
 func TestNLCapKeysBitStable(t *testing.T) {
 	base := tech.Tech130()
-	fp := TechFingerprint(base)
+	fp := base.Fingerprint()
 	if strings.Contains(fp, "NLCAP") {
 		t.Fatalf("constant-cap fingerprint grew an NLCAP segment: %q", fp)
 	}
 
 	nl := base.WithNonlinearCaps()
-	nlFP := TechFingerprint(nl)
+	nlFP := nl.Fingerprint()
 	if got := strings.Count(nlFP, "NLCAP{"); got != 2 {
 		t.Fatalf("nl fingerprint renders %d NLCAP segments, want 2 (NMOS and PMOS):\n%q", got, nlFP)
 	}
@@ -59,7 +59,7 @@ func TestNLCapCornerKeysNeverAlias(t *testing.T) {
 			if card.NonlinearCaps() {
 				id += "+nlcap"
 			}
-			fp := TechFingerprint(card)
+			fp := card.Fingerprint()
 			if prev, ok := seen[fp]; ok {
 				t.Fatalf("configurations %q and %q share tech fingerprint", prev, id)
 			}

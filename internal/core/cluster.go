@@ -70,7 +70,8 @@ type AggressorSpec struct {
 // lazily caches compiled simulator benches behind a mutex, and two copies
 // would share the single-goroutine sessions while locking independent
 // mutexes. Pass *Cluster around, as every constructor in this repository
-// does.
+// does. The cached benches key on the cluster's content (see topologyKey),
+// so editing its card, cells or bus between evaluations recompiles them.
 type Cluster struct {
 	Tech       *tech.Tech
 	Bus        *interconnect.Bus
@@ -87,7 +88,7 @@ type Cluster struct {
 	// unaffected.
 	//
 	// When a RigPool is attached (UseRigPool), benches are cached in the
-	// pool under topology-class keys instead, so clusters sharing a
+	// pool under the same content keys instead, so clusters sharing a
 	// topology — in particular, victims sharing a driver cell
 	// configuration — reuse each other's compiled benches.
 	rigMu     sync.Mutex
@@ -129,50 +130,34 @@ func optionsFingerprint(o sim.Options) string {
 	return b.String()
 }
 
-// renderSpecKey renders the victim and aggressor spec fields every
-// compiled bench bakes in — states, pins, lines, receivers — under the
-// given technology/bus identity prefixes and cell-identity function. It
-// is the single source of truth shared by structuralKey (pointer-keyed,
-// per-cluster cache) and topologyKey (name-keyed, RigPool sharing), so a
-// netlist-affecting spec field added later is added in exactly one place
-// and can never silently drift between the two cache layers.
-func (c *Cluster) renderSpecKey(techID, busID string, cellID func(*cell.Cell) string) string {
+// topologyKey renders everything a compiled bench bakes in besides source
+// waveforms and lumped loads: the cluster's card, every driver and receiver
+// by its content identity (cell.Cell.Fingerprint), the states, pins and
+// lines, and the bus — its geometry (SpacingFactor included, since
+// coupling capacitance depends on it) plus the wire parameters it was
+// built with. The key is pure content: clusters built independently from
+// identical specs key identically and share pooled golden benches, while
+// a card edited in place, a re-pointed spec, an appended aggressor or a
+// different routing stack keys apart and recompiles. Pool-less clusters
+// key their local benches on it too (see localRig).
+func (c *Cluster) topologyKey() string {
 	var b strings.Builder
+	wp := c.Bus.WireParams()
+	fmt.Fprintf(&b, "tech=%s|bus=%s,%d,%.17g,%.17g,%.17g",
+		c.Tech.Fingerprint(), c.Bus.Layer, c.Bus.Segments, wp.RPerUm, wp.CgPerUm, wp.CcPerUm)
+	for i := range c.Bus.Lines {
+		ln := &c.Bus.Lines[i]
+		fmt.Fprintf(&b, ",%s:%.17g:%.17g", ln.Name, ln.LengthUm, ln.SpacingFactor)
+	}
 	v := &c.Victim
-	fmt.Fprintf(&b, "tech=%s|bus=%s", techID, busID)
 	fmt.Fprintf(&b, "|vic=%s,%s,%s,%d,%s,%s",
-		cellID(v.Cell), v.State.String(), v.NoisyPin, v.Line, cellID(v.Receiver), v.ReceiverPin)
+		v.Cell.Fingerprint(), v.State.String(), v.NoisyPin, v.Line, v.Receiver.Fingerprint(), v.ReceiverPin)
 	for i := range c.Aggressors {
 		a := &c.Aggressors[i]
 		fmt.Fprintf(&b, "|agg=%s,%s,%s,%d,%s,%s",
-			cellID(a.Cell), a.FromState.String(), a.SwitchPin, a.Line, cellID(a.Receiver), a.ReceiverPin)
+			a.Cell.Fingerprint(), a.FromState.String(), a.SwitchPin, a.Line, a.Receiver.Fingerprint(), a.ReceiverPin)
 	}
 	return b.String()
-}
-
-// structuralKey renders everything the compiled benches bake in besides
-// source waveforms — the cell instances, states, pins, lines, receivers
-// and the bus — so appending an aggressor or re-pointing a spec between
-// evaluations recompiles instead of reusing a stale netlist. Cells and
-// receivers are keyed by pointer *and* library name (kind + drive), so a
-// re-pointed spec is caught even if the allocator reuses an address; the
-// bus is keyed by pointer, which covers its geometry (SpacingFactor
-// included) as long as it is not deep-mutated. Deep mutation of a shared
-// *Bus or *Cell value is not detected (documented as unsupported; see
-// ROADMAP open items).
-func (c *Cluster) structuralKey() string {
-	cellID := func(cl *cell.Cell) string {
-		if cl == nil {
-			return "nil"
-		}
-		return fmt.Sprintf("%p:%s", cl, cl.Name())
-	}
-	var bus strings.Builder
-	fmt.Fprintf(&bus, "%p:%s,%d", c.Bus, c.Bus.Layer, c.Bus.Segments)
-	for i := range c.Bus.Lines {
-		fmt.Fprintf(&bus, ",%s:%.17g", c.Bus.Lines[i].Name, c.Bus.Lines[i].LengthUm)
-	}
-	return c.renderSpecKey(fmt.Sprintf("%p:%.17g", c.Tech, c.Tech.VDD), bus.String(), cellID)
 }
 
 // Validate checks structural consistency.

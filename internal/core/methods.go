@@ -183,9 +183,8 @@ func (c *Cluster) evaluateGolden(ctx context.Context, opts EvalOptions) (*Evalua
 
 // goldenRigLocked returns the compiled golden test bench for the given sim
 // options, compiling it on first use or when the options changed. With a
-// RigPool attached the bench is cached there under its topology class; the
-// cluster-local cache (pointer-keyed) is used otherwise. The caller must
-// hold c.rigMu.
+// RigPool attached the bench is cached there under its topology key; the
+// cluster-local cache is used otherwise. The caller must hold c.rigMu.
 func (c *Cluster) goldenRigLocked(simOpts sim.Options) (*simRig, error) {
 	build := func() (*simRig, error) {
 		ckt, err := c.BuildGolden()
@@ -206,10 +205,10 @@ func (c *Cluster) goldenRigLocked(simOpts sim.Options) (*simRig, error) {
 }
 
 // localRig is the cluster-local (pool-less) rig memoization shared by the
-// golden and driver benches: one cached rig per slot, invalidated when
-// the sim options or the pointer-keyed cluster structure change.
+// golden and driver benches: one cached rig per slot, recompiled when the
+// sim options or the cluster's content topology (see topologyKey) change.
 func (c *Cluster) localRig(slot **simRig, simOpts sim.Options, build func() (*simRig, error)) (*simRig, error) {
-	key := optionsFingerprint(simOpts) + "#" + c.structuralKey()
+	key := optionsFingerprint(simOpts) + "#" + c.topologyKey()
 	if *slot != nil && (*slot).key == key {
 		return *slot, nil
 	}

@@ -2,30 +2,26 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
-	"stanoise/internal/cell"
 	"stanoise/internal/sim"
-	"stanoise/internal/tech"
 )
 
 // RigPool caches compiled simulator test benches — program/session pairs —
 // across the clusters a single analysis worker processes, keyed like
-// charlib.Cache by the *topology class* of the bench (technology, cells by
-// library name, states, pins, geometry and solver options) rather than by
-// cluster identity. Two clusters whose victim drivers share a cell
-// configuration reuse one compiled driver-alone bench; re-analysing a
-// design through the same analyzer reuses the golden benches of every
-// cluster whose topology is unchanged. Only source waveforms and lumped
-// loads are mutated between runs, so pooled reuse performs arithmetic
-// identical to a freshly compiled bench.
+// charlib.Cache by the *content* of the bench (every cell's
+// cell.Cell.Fingerprint, states, pins, bus geometry and wire parameters,
+// and solver options) rather than by cluster identity. Two clusters whose
+// victim drivers share a cell configuration on equal cards reuse one
+// compiled driver-alone bench; re-analysing a design through the same
+// analyzer reuses the golden benches of every cluster whose topology is
+// unchanged. Cards that differ in any device parameter — another corner,
+// the nonlinear-cap model, an edited KP under the same name — key apart.
+// Only source waveforms and lumped loads are mutated between runs, so
+// pooled reuse performs arithmetic identical to a freshly compiled bench.
 //
 // A RigPool is NOT safe for concurrent use: sessions are single-goroutine
 // objects, so each analysis worker owns its own pool (internal/sna hands
-// one to every worker goroutine). Pool keys assume cells come from the
-// cell library constructors, where equal names imply equal netlists; deep
-// mutation of a shared *cell.Cell or *interconnect.Bus value is not
-// detected (the same documented limitation as Cluster's own rig cache).
+// one to every worker goroutine).
 //
 // The pool is bounded — by entry count and, optionally, by estimated
 // resident bytes (see RigPoolLimits) — evicting the least recently used
@@ -36,8 +32,7 @@ import (
 // benches (small key space, high reuse) stay resident, and golden benches
 // survive exactly long enough for re-evaluation and re-analysis of recent
 // clusters. Long-lived holders (an analysis server above all) size pools
-// in bytes and drop every bench explicitly with Invalidate when the
-// underlying libraries change.
+// in bytes, and may drop every bench with Invalidate to release memory.
 type RigPool struct {
 	rigs   map[string]*pooledEntry
 	limits RigPoolLimits
@@ -150,12 +145,11 @@ func (p *RigPool) evict() {
 	}
 }
 
-// Invalidate drops every pooled bench, returning how many were held. This
-// is the explicit invalidation point for long-lived processes: compiled
-// benches key on topology *classes* (cell names, geometry, options), so a
-// process that mutates what a name means — reloading a cell library,
-// editing a tech card in place — must invalidate its pools or pooled
-// benches would keep simulating the old physics. Statistics survive.
+// Invalidate drops every pooled bench, returning how many were held. It is
+// a memory-release point for long-lived processes, not a correctness one:
+// benches key on content, so a reloaded library or an edited card already
+// misses the old benches, which then only age out under the LRU bound.
+// Statistics survive.
 func (p *RigPool) Invalidate() int {
 	n := len(p.rigs)
 	p.rigs = map[string]*pooledEntry{}
@@ -195,7 +189,7 @@ func (p *RigPool) engineWorkspace() *engineWorkspace {
 }
 
 // UseRigPool attaches a pool to the cluster: subsequent evaluations cache
-// their compiled benches in the pool under topology-class keys instead of
+// their compiled benches in the pool under content keys instead of
 // on the cluster itself, sharing them with every other cluster using the
 // same pool, and run the macromodel engine in the pool's workspace. Attach
 // before the first evaluation; the pool must be owned by the same goroutine
@@ -206,53 +200,15 @@ func (c *Cluster) UseRigPool(p *RigPool) {
 	c.rigMu.Unlock()
 }
 
-// cellClass names a cell's topology class: the library name embeds kind and
-// drive strength, which (per technology) determines the transistor netlist.
-func cellClass(cl *cell.Cell) string {
-	if cl == nil {
-		return "nil"
-	}
-	return cl.Name()
-}
-
-// topologyKey is the name-based analog of structuralKey: it renders the
-// full cluster topology using library cell names instead of pointers (via
-// the shared renderSpecKey, so the spec field list cannot drift between
-// the two), with the bus keyed by its full geometry — SpacingFactor
-// included, since coupling capacitance depends on it and there is no
-// pointer identity to fall back on. Clusters built independently from
-// identical specs key identically; used for pooled golden benches.
-func (c *Cluster) topologyKey() string {
-	var bus strings.Builder
-	fmt.Fprintf(&bus, "%s,%d", c.Bus.Layer, c.Bus.Segments)
-	for i := range c.Bus.Lines {
-		ln := &c.Bus.Lines[i]
-		fmt.Fprintf(&bus, ",%s:%.17g:%.17g", ln.Name, ln.LengthUm, ln.SpacingFactor)
-	}
-	return c.renderSpecKey(fmt.Sprintf("%s%s:%.17g", c.Tech.Name, nlcapMark(c.Tech), c.Tech.VDD), bus.String(), cellClass)
-}
-
-// nlcapMark disambiguates pooled-bench keys between constant-cap and
-// nonlinear-gate-charge cards: both share the base card's Name and VDD, but
-// compile to different programs, so without the marker an nlcap analysis
-// could be served a constant-cap bench from a shared pool (or vice versa).
-// Empty for constant-cap cards, keeping every legacy key.
-func nlcapMark(t *tech.Tech) string {
-	if t.NonlinearCaps() {
-		return ",nlcap"
-	}
-	return ""
-}
-
 // driverClassKey identifies the topology class of the driver-alone bench,
-// which depends only on the technology and the victim cell configuration —
-// not on the bus, aggressors or cluster identity. This is where pooling
-// pays off across clusters: every victim sharing a cell configuration (the
+// which depends only on the card and the victim cell configuration — not
+// on the bus, aggressors or cluster identity. This is where pooling pays
+// off across clusters: every victim sharing a cell configuration (the
 // common case in a real design) shares one compiled bench.
 func (c *Cluster) driverClassKey() string {
 	v := &c.Victim
-	return fmt.Sprintf("tech=%s%s:%.17g|vic=%s,%s,%s",
-		c.Tech.Name, nlcapMark(c.Tech), c.Tech.VDD, cellClass(v.Cell), v.State.String(), v.NoisyPin)
+	return fmt.Sprintf("tech=%s|vic=%s,%s,%s",
+		c.Tech.Fingerprint(), v.Cell.Fingerprint(), v.State.String(), v.NoisyPin)
 }
 
 // pooledRig routes a rig lookup through the attached pool under a

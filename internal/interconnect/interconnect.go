@@ -63,6 +63,10 @@ func NewBus(t *tech.Tech, layer string, segments int, lines ...LineSpec) (*Bus, 
 	return &Bus{Tech: t, Layer: layer, Segments: segments, Lines: lines, wp: wp}, nil
 }
 
+// WireParams returns the per-micron parasitics the bus was built with:
+// its layer's parameters as resolved from the card at NewBus.
+func (b *Bus) WireParams() tech.WireParams { return b.wp }
+
 // node returns the node name of line i at tap j (0..Segments).
 func (b *Bus) node(i, j int) string {
 	return fmt.Sprintf("%s.%d", b.Lines[i].Name, j)

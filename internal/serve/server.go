@@ -349,8 +349,8 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleInvalidate drops every pooled compiled bench (see
-// sna.PoolSet.Invalidate) — the explicit invalidation point after a cell
-// library or tech card changes under a long-lived server.
+// sna.PoolSet.Invalidate), releasing their memory. Benches key on card
+// content, so a changed library never needs it for correctness.
 func (s *Server) handleInvalidate(w http.ResponseWriter, r *http.Request) {
 	n := s.pools.Invalidate()
 	w.Header().Set("Content-Type", "application/json")

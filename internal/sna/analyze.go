@@ -126,9 +126,10 @@ type Options struct {
 	// applied), so each transistor's C_GD/C_GS follow the tanh charge
 	// model and the transient engine re-evaluates their companion stamps
 	// per Newton iteration — the paper's nonlinear-cell accuracy claim.
-	// Nonlinear artefacts are cached and persisted under distinct keys
-	// (",nlcap" fingerprints); with the flag off the analysis and its
-	// artefact bytes are exactly the constant-cap legacy flow.
+	// The derived card's fingerprint (tech.Tech.Fingerprint) renders the
+	// model, so nonlinear artefacts and compiled benches key apart from
+	// constant-cap ones; with the flag off the analysis and its artefact
+	// bytes are exactly the constant-cap legacy flow.
 	NonlinearCaps bool
 	// Model quality knobs.
 	LoadCurve charlib.LoadCurveOptions
@@ -336,8 +337,8 @@ func (a *Analyzer) RigPoolStats() (hits, misses int) { return a.pools.Stats() }
 
 // InvalidateRigPools drops every compiled bench of the analyzer's idle
 // pools (see PoolSet.Invalidate), returning how many benches were dropped.
-// This is the explicit invalidation point for long-lived holders whose
-// cell libraries or tech cards change underneath retained benches.
+// It releases memory: benches key on card content, so a changed library
+// or tech card never reuses a retained bench.
 func (a *Analyzer) InvalidateRigPools() int { return a.pools.Invalidate() }
 
 // NewAnalyzer builds an analyzer for a validated design.

@@ -188,10 +188,11 @@ func (d *Design) BuildClusterCorner(cs ClusterSpec, corner tech.Corner) (*core.C
 // gate-charge model optionally enabled: when nlcaps is true the corner-
 // derived card is further derived via tech.Tech.WithNonlinearCaps, so every
 // cell's gate capacitors become voltage-dependent and every downstream
-// artefact keys distinctly (",nlcap" fingerprints). The derivation order —
-// corner first, then nonlinear caps — matches the commuting property the
-// two card derivations guarantee. With nlcaps false it builds exactly what
-// BuildClusterCorner builds.
+// artefact and compiled bench keys distinctly (the card's fingerprint
+// renders the model). The derivation order — corner first, then nonlinear
+// caps — matches the commuting property the two card derivations
+// guarantee. With nlcaps false it builds exactly what BuildClusterCorner
+// builds.
 func (d *Design) BuildClusterCornerNL(cs ClusterSpec, corner tech.Corner, nlcaps bool) (*core.Cluster, error) {
 	t, err := tech.ByName(d.Tech)
 	if err != nil {

@@ -16,8 +16,8 @@ import (
 // serving many designs shares one PoolSet across analyzers via
 // Options.RigPools, exactly as it shares a charlib.Cache via
 // Options.Cache: benches compiled for one request are reused by every
-// later request whose cluster topologies match, and Invalidate is the
-// explicit drop-everything point for when the underlying libraries change.
+// later request whose cluster topologies match (benches key on content,
+// see core.RigPool), and Invalidate releases their memory.
 type PoolSet struct {
 	mu     sync.Mutex
 	limits core.RigPoolLimits
@@ -93,15 +93,13 @@ func (ps *PoolSet) Len() int {
 }
 
 // Invalidate drops every compiled bench of every idle pool, returning how
-// many benches were dropped. This is the explicit invalidation story for
-// long-lived processes: pooled benches key on topology *classes* (cell
-// names, states, geometry, solver options — never pointers), so a process
-// that changes what those names mean — reloading a cell library, editing
-// a tech card — must invalidate, or retained benches would keep simulating
-// the old physics. Pools checked out by in-flight workers are unaffected
-// and are invalidated the next time they pass through the free list only
-// if Invalidate is called again; servers quiesce first (stop admitting,
-// drain) for a complete drop.
+// many benches were dropped. It releases memory; it is not needed for
+// correctness, because pooled benches key on content (card fingerprints,
+// states, geometry, solver options), so a reloaded library or an edited
+// tech card never matches a retained bench. Pools checked out by in-flight
+// workers are unaffected and are dropped the next time they pass through
+// the free list only if Invalidate is called again; servers quiesce first
+// (stop admitting, drain) for a complete drop.
 func (ps *PoolSet) Invalidate() int {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()

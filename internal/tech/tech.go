@@ -58,7 +58,7 @@ type MOSParams struct {
 	//
 	// All-zero means "no nonlinear gate model" — the zero-means-constant
 	// trick mirroring Corner's zero-means-nominal: base cards carry zeros,
-	// so every legacy netlist, cache key and store artefact stays
+	// so every legacy netlist, fingerprint and store artefact stays
 	// bit-stable, and only cards derived via Tech.WithNonlinearCaps opt
 	// into the model.
 	CNLFrac float64 // modulation fraction of the half-gate cap; 0 = constant caps
@@ -86,11 +86,53 @@ type Tech struct {
 	PNRatio float64
 
 	// Corner records the operating corner this card was derived for
-	// (Corner.Apply); nil on a nominal base card. Downstream fingerprints
-	// (charstore.TechFingerprint, charlib.CellKey) include it so per-corner
-	// artefacts never alias, and its absence keeps every pre-corner key
-	// bit-stable.
+	// (Corner.Apply); nil on a nominal base card. Fingerprint renders it,
+	// so per-corner artefacts never alias, and its absence keeps every
+	// pre-corner key bit-stable. Like every other field it is part of the
+	// card's content identity: a card edited in place after use simply
+	// keys as the new card it has become.
 	Corner *Corner
+}
+
+// Fingerprint renders the card's identity: every device-relevant field at
+// full precision, deterministically. It is the one identity every
+// in-process cache and pool key and every persistent store key is built
+// from (cell.Cell.Fingerprint adds the cell name), so two cards that
+// simulate differently never share an artefact, whatever their names.
+// The text is recomputed on each call rather than memoized: a memo would
+// be copied along with the card by Corner.Apply and WithNonlinearCaps and
+// go stale on the derived card.
+//
+// Wire parasitics are deliberately excluded: they shape interconnect
+// models, not cell characterisation, and including them would invalidate
+// every cell artefact on a routing-stack edit. Keys of artefacts that do
+// embed wires (core's compiled golden benches) render the wire
+// parameters they use themselves.
+//
+// A card derived for an operating corner (Corner.Apply) additionally
+// renders the corner fingerprint, so per-corner artefacts are addressed by
+// both the scaled parameters *and* the corner identity — two corners that
+// happened to scale to the same numbers still never alias. The nonlinear
+// gate-charge segment renders only on cards that carry the model
+// (WithNonlinearCaps). Nominal constant-cap cards therefore render exactly
+// the text that predates both axes, keeping every existing store entry
+// reachable (pinned by charstore's TestStoreKeysPinned).
+func (t *Tech) Fingerprint() string {
+	mos := func(m MOSParams) string {
+		fp := fmt.Sprintf("KP=%.17g VT0=%.17g LAMBDA=%.17g CG=%.17g COV=%.17g CJ=%.17g",
+			m.KP, m.VT0, m.Lambda, m.CGatePerWL, m.COverlap, m.CJunction)
+		if m.CNLFrac != 0 {
+			fp += fmt.Sprintf(" NLCAP{frac=%.17g gd=%.17g/%.17g gs=%.17g/%.17g}",
+				m.CNLFrac, m.CNLGDP0, m.CNLGDP1, m.CNLGSP0, m.CNLGSP1)
+		}
+		return fp
+	}
+	fp := fmt.Sprintf("tech=%s VDD=%.17g Lmin=%.17g WUnit=%.17g PNRatio=%.17g NMOS{%s} PMOS{%s}",
+		t.Name, t.VDD, t.Lmin, t.WUnit, t.PNRatio, mos(t.NMOS), mos(t.PMOS))
+	if t.Corner != nil {
+		fp += " Corner{" + t.Corner.Fingerprint() + "}"
+	}
+	return fp
 }
 
 // Layer returns the wire parameters for a layer name.
