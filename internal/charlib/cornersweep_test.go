@@ -15,8 +15,21 @@ import (
 // cmos130 card across the given corners.
 func sweepCorners(t *testing.T, cache *Cache, corners []tech.Corner, warm bool, grid int) []CornerResult {
 	t.Helper()
+	return sweepCornersJob(t, cache, corners, CornerJob{Kind: "INV", Drive: 1, Pin: "A"}, warm, grid)
+}
+
+// continuationJob is the load-curve job the continuation tests measure
+// Newton work on. An INV load-curve rig has no free node — every node is
+// pinned by a source, so its sweep solves by KCL alone and spends zero
+// Newton iterations (TestINVLoadCurveNeedsNoNewton) — while the NAND2
+// stack node is a genuine Newton unknown.
+var continuationJob = CornerJob{Kind: "NAND2", Drive: 1, Pin: "B"}
+
+// sweepCornersJob is sweepCorners for an arbitrary job.
+func sweepCornersJob(t *testing.T, cache *Cache, corners []tech.Corner, job CornerJob, warm bool, grid int) []CornerResult {
+	t.Helper()
 	res, err := SweepCorners(context.Background(), cache, tech.Tech130(), corners,
-		[]CornerJob{{Kind: "INV", Drive: 1, Pin: "A"}},
+		[]CornerJob{job},
 		CornerSweepOptions{LoadCurve: LoadCurveOptions{NVin: grid, NVout: grid, WarmStart: warm}})
 	if err != nil {
 		t.Fatal(err)
@@ -48,16 +61,16 @@ func totalIters(res []CornerResult) int64 {
 }
 
 // TestCornerContinuationCutsNewtonIterations is the headline acceptance
-// criterion of the corner farm: on the INV load-curve corner matrix
+// criterion of the corner farm: on the NAND2 load-curve corner matrix
 // (tt/ss/ff at the production 61×61 grid), the adjacent-corner warm-start
 // sweep must spend at least 20% fewer Newton iterations than
 // cold-per-corner characterisation — measured on the farm's own
 // per-corner counters, seed solves included.
 func TestCornerContinuationCutsNewtonIterations(t *testing.T) {
 	corners := mustCorners(t, "tt", "ss", "ff")
-	cold := totalIters(sweepCorners(t, nil, corners, false, 61))
-	warm := totalIters(sweepCorners(t, nil, corners, true, 61))
-	t.Logf("tt/ss/ff 61x61 INV matrix: %d Newton iterations cold-per-corner, %d warm continuation (%.1f%% reduction)",
+	cold := totalIters(sweepCornersJob(t, nil, corners, continuationJob, false, 61))
+	warm := totalIters(sweepCornersJob(t, nil, corners, continuationJob, true, 61))
+	t.Logf("tt/ss/ff 61x61 NAND2 matrix: %d Newton iterations cold-per-corner, %d warm continuation (%.1f%% reduction)",
 		cold, warm, 100*(1-float64(warm)/float64(cold)))
 	if warm > cold*8/10 {
 		t.Fatalf("corner continuation cut iterations by only %.1f%% (cold %d, warm %d), want >= 20%%",
@@ -74,21 +87,22 @@ func TestAdjacentCornerSeedWarmsFirstPoint(t *testing.T) {
 	ss, ff := mustCorners(t, "ss", "ff")[0], mustCorners(t, "ss", "ff")[1]
 	opts := LoadCurveOptions{NVin: 11, NVout: 11, WarmStart: true}
 
-	ffCell := cell.MustNew(ff.Apply(base), "INV", 1)
-	st, err := ffCell.SensitizedState("A", true)
+	kind, pin := continuationJob.Kind, continuationJob.Pin
+	ffCell := cell.MustNew(ff.Apply(base), kind, 1)
+	st, err := ffCell.SensitizedState(pin, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed, _, err := FirstPointSeed(cell.MustNew(ss.Apply(base), "INV", 1), st, "A", opts)
+	seed, _, err := FirstPointSeed(cell.MustNew(ss.Apply(base), kind, 1), st, pin, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	_, unseeded, err := characterizeLoadCurveSeeded(context.Background(), ffCell, st, "A", opts, nil)
+	_, unseeded, err := characterizeLoadCurveSeeded(context.Background(), ffCell, st, pin, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, seeded, err := characterizeLoadCurveSeeded(context.Background(), ffCell, st, "A", opts, seed)
+	_, seeded, err := characterizeLoadCurveSeeded(context.Background(), ffCell, st, pin, opts, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -402,8 +402,10 @@ func (c *Cluster) BuildModels(ctx context.Context, opts ModelOptions) (*Models, 
 
 	// 4. Thevenin models of the aggressor drivers. Fits are memoized (and
 	// persisted, when the cache has a disk tier) like every other
-	// characterised artefact: the fingerprint covers the lumped load and
-	// every fit option, so aggressors with distinct geometry never alias,
+	// characterised artefact: the fingerprint covers the fitting
+	// procedure's version, the lumped load and every fit option, so a
+	// store built by an older procedure misses and aggressors with
+	// distinct geometry never alias,
 	// while the repeated driver/load configurations of a real design fit
 	// once.
 	for i := range c.Aggressors {
@@ -418,7 +420,7 @@ func (c *Cluster) BuildModels(ctx context.Context, opts ModelOptions) (*Models, 
 		fitOpts := opts.Thevenin.Normalized()
 		fitOpts.InputSlew = a.slew()
 		fitOpts.InputT0 = a.t0()
-		fp := fmt.Sprintf("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g",
+		fp := fmt.Sprintf("fit%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g", thevenin.FitVersion,
 			load, fitOpts.InputSlew, fitOpts.InputT0, fitOpts.Dt, fitOpts.Crossings[0], fitOpts.Crossings[1])
 		fit, err := opts.Cache.Artefact(ctx, "thev", a.Cell, a.FromState, a.SwitchPin, fp, func() (any, error) {
 			return thevenin.Fit(ctx, a.Cell, a.FromState, a.SwitchPin, load, fitOpts)

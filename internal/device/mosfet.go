@@ -118,34 +118,36 @@ func (cp CapParams) Charge(u float64) float64 {
 // drain roles are exchanged so the equations always see vds ≥ 0, which is
 // essential for pass-gate-like conditions during noise events.
 func (p *Params) Eval(vd, vg, vs float64) (id, gd, gg, gs float64) {
+	// A PMOS is an NMOS in a mirrored voltage frame:
+	// id_p(vd,vg,vs) = -id_n(-vd,-vg,-vs) with the threshold negated. The
+	// chain rule through the two sign flips leaves the conductances
+	// unchanged.
+	sign, vt := 1.0, p.VT0
 	if p.Kind == PMOS {
-		// A PMOS is an NMOS in a mirrored voltage frame:
-		// id_p(vd,vg,vs) = -id_n(-vd,-vg,-vs). The chain rule through the
-		// two sign flips leaves the conductances unchanged.
-		n := Params{Kind: NMOS, W: p.W, L: p.L, KP: p.KP, VT0: -p.VT0, Lambda: p.Lambda}
-		in, gdn, ggn, gsn := n.Eval(-vd, -vg, -vs)
-		return -in, gdn, ggn, gsn
+		sign, vt = -1, -p.VT0
+		vd, vg, vs = -vd, -vg, -vs
 	}
 	if vd >= vs {
-		ids, gm, gds := level1(p, vg-vs, vd-vs)
+		ids, gm, gds := level1(p, vt, vg-vs, vd-vs)
 		// id = ids(vgs, vds); vgs = vg-vs, vds = vd-vs.
-		return ids, gds, gm, -(gm + gds)
+		return sign * ids, gds, gm, -(gm + gds)
 	}
 	// Reverse mode: the physical source is the d terminal. The forward
 	// current flows into the s node, so the drain-terminal current is its
 	// negative.
-	ids, gm, gds := level1(p, vg-vd, vs-vd)
+	ids, gm, gds := level1(p, vt, vg-vd, vs-vd)
 	// id = -ids(vg-vd, vs-vd)
 	gd = gm + gds
 	gg = -gm
 	gs = -gds
-	return -ids, gd, gg, gs
+	return -sign * ids, gd, gg, gs
 }
 
-// level1 evaluates the NMOS Level-1 equations for vds ≥ 0, returning the
-// drain-source current with its derivatives gm = ∂i/∂vgs and gds = ∂i/∂vds.
-func level1(p *Params, vgs, vds float64) (ids, gm, gds float64) {
-	vov := vgs - p.VT0
+// level1 evaluates the NMOS Level-1 equations for vds ≥ 0 at threshold vt,
+// returning the drain-source current with its derivatives gm = ∂i/∂vgs and
+// gds = ∂i/∂vds.
+func level1(p *Params, vt, vgs, vds float64) (ids, gm, gds float64) {
+	vov := vgs - vt
 	if vov <= 0 {
 		// Cut-off. The engine's gmin keeps the Jacobian non-singular.
 		return 0, 0, 0

@@ -29,8 +29,9 @@ type LineSpec struct {
 
 // Bus is a bundle of parallel wires on one layer, discretised into RC
 // segments with line-to-line coupling between laterally adjacent segments.
+// The layer's wire parameters are copied at construction: later edits to
+// the card's Wires do not reach an existing bus.
 type Bus struct {
-	Tech     *tech.Tech
 	Layer    string
 	Segments int
 	Lines    []LineSpec
@@ -60,7 +61,7 @@ func NewBus(t *tech.Tech, layer string, segments int, lines ...LineSpec) (*Bus, 
 			lines[i].SpacingFactor = 1
 		}
 	}
-	return &Bus{Tech: t, Layer: layer, Segments: segments, Lines: lines, wp: wp}, nil
+	return &Bus{Layer: layer, Segments: segments, Lines: lines, wp: wp}, nil
 }
 
 // WireParams returns the per-micron parasitics the bus was built with:

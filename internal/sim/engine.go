@@ -2,12 +2,16 @@
 // golden reference throughout the repository — the stand-in for the ELDO™
 // runs in the paper (see DESIGN.md §2).
 //
-// It is a classical MNA (modified nodal analysis) engine: node voltages plus
-// voltage-source branch currents are the unknowns, non-linear devices are
-// handled with damped Newton–Raphson, capacitors with trapezoidal (default)
-// or backward-Euler companion models, and DC operating points with gmin
-// stepping as a fallback. Matrices are dense; noise clusters are small
-// (tens of nodes), where dense LU beats sparse bookkeeping.
+// It is an MNA (modified nodal analysis) engine with the voltage sources
+// eliminated where they fix a node: a node pinned by a ground-referenced
+// source is a known boundary value, so Newton runs on the free node
+// voltages plus the branch currents of the floating sources only, and a
+// pinned source's current is recovered from KCL at its node (DESIGN.md
+// §7). Non-linear devices are handled with damped Newton–Raphson,
+// capacitors with trapezoidal (default) or backward-Euler companion
+// models, and DC operating points with gmin stepping as a fallback.
+// Matrices are dense; noise clusters are small (tens of nodes), where
+// dense LU beats sparse bookkeeping.
 //
 // The engine is split into two phases (DESIGN.md §7). Compile resolves a
 // circuit into an immutable Program — index-resolved node table and
@@ -54,7 +58,8 @@ func (r *DCResult) NodeV(name string) float64 {
 }
 
 // BranchI returns the branch current of the named voltage source (flowing
-// into the source at its positive terminal).
+// into the source at its positive terminal). For a source that pins its
+// node it is the KCL balance of that node at the operating point.
 func (r *DCResult) BranchI(vsrc string) float64 {
 	k := r.c.VSourceIndex(vsrc)
 	if k < 0 {
@@ -82,20 +87,19 @@ func DC(c *circuit.Circuit, opts Options) (*DCResult, error) {
 	return s.RunDC()
 }
 
-// Result holds a transient simulation: node voltages and voltage-source
-// branch currents sampled on the time grid.
+// Result holds a transient simulation: node voltages sampled on the time
+// grid.
 type Result struct {
-	c       *circuit.Circuit
-	Times   []float64
-	nodeV   [][]float64 // [node][step]
-	branchI [][]float64 // [vsrc][step]
+	c     *circuit.Circuit
+	Times []float64
+	nodeV [][]float64 // [node][step]
 }
 
 // reset rebinds a caller-owned Result to a circuit and truncates every
 // series to length zero, reusing backing storage when its capacity covers
 // capHint points. After the first RunTransientInto on a given Result, later
 // runs of the same (or smaller) size allocate nothing here.
-func (r *Result) reset(c *circuit.Circuit, n, m, capHint int) {
+func (r *Result) reset(c *circuit.Circuit, n, capHint int) {
 	r.c = c
 	if cap(r.Times) < capHint {
 		r.Times = make([]float64, 0, capHint)
@@ -111,28 +115,14 @@ func (r *Result) reset(c *circuit.Circuit, n, m, capHint int) {
 		}
 		r.nodeV[i] = r.nodeV[i][:0]
 	}
-	if cap(r.branchI) < m {
-		r.branchI = make([][]float64, m)
-	}
-	r.branchI = r.branchI[:m]
-	for k := range r.branchI {
-		if cap(r.branchI[k]) < capHint {
-			r.branchI[k] = make([]float64, 0, capHint)
-		}
-		r.branchI[k] = r.branchI[k][:0]
-	}
 }
 
 // record appends one time point. All appends stay within the capacity
 // reserved by reset, so a transient step records allocation-free.
 func (r *Result) record(t float64, x []float64) {
 	r.Times = append(r.Times, t)
-	n := len(r.nodeV)
 	for i := range r.nodeV {
 		r.nodeV[i] = append(r.nodeV[i], x[i])
-	}
-	for k := range r.branchI {
-		r.branchI[k] = append(r.branchI[k], x[n+k])
 	}
 }
 
@@ -146,15 +136,6 @@ func (r *Result) Waveform(node string) *wave.Waveform {
 		return wave.Constant(0)
 	}
 	return wave.FromPoints(r.Times, r.nodeV[id])
-}
-
-// BranchCurrent returns the branch-current waveform of a voltage source.
-func (r *Result) BranchCurrent(vsrc string) *wave.Waveform {
-	k := r.c.VSourceIndex(vsrc)
-	if k < 0 {
-		panic(fmt.Sprintf("sim: unknown voltage source %q", vsrc))
-	}
-	return wave.FromPoints(r.Times, r.branchI[k])
 }
 
 // At returns the voltage of node at the given step index.

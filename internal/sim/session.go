@@ -12,12 +12,19 @@ import (
 )
 
 // Session is the mutable run state for one compiled Program: preallocated
-// MNA matrices, right-hand-side/solution vectors and an in-place LU
-// workspace, plus the per-run parameters (source waveforms, capacitor
-// values, initial-guess seeds). A characterisation sweep compiles its
-// topology once, opens one Session, and then only mutates parameters
-// between RunDC/RunTransient calls — no per-point circuit assembly, node
+// matrices, right-hand-side/solution vectors and an in-place LU workspace,
+// plus the per-run parameters (source waveforms, capacitor values,
+// initial-guess seeds). A characterisation sweep compiles its topology
+// once, opens one Session, and then only mutates parameters between
+// RunDC/RunTransient calls — no per-point circuit assembly, node
 // resolution or matrix allocation.
+//
+// Newton runs on the free unknowns only (see Program): nodes pinned by
+// ground-referenced sources are set from their waveforms at every time
+// point, and the currents of those sources are recovered from KCL at
+// their nodes after a DC solve converges. The solution vector keeps the
+// full MNA layout — node voltages, then branch currents — so results,
+// warm seeds and the predictor history read it unchanged.
 //
 // The Newton inner loop is allocation-free: the Jacobian is copied into
 // reused buffers, factored in place, and solved into a preallocated
@@ -31,10 +38,9 @@ type Session struct {
 	prog *Program
 	opts Options
 
-	n, m, size int
-
 	// base holds all voltage-independent, time-independent conductance
-	// stamps: resistors, gmin, and the voltage-source incidence pattern.
+	// stamps of the free system: resistors, gmin, and the incidence pattern
+	// of the floating voltage sources.
 	base *linalg.Matrix
 	// stampedGmin is the gmin currently stamped into base; DC gmin
 	// stepping temporarily restamps it.
@@ -42,15 +48,18 @@ type Session struct {
 
 	// Scratch buffers reused across runs and Newton iterations. lin is
 	// allocated lazily on the first transient run; DC-only sessions (the
-	// load-curve sweeps) never pay for it.
+	// load-curve sweeps) never pay for it. The matrices and f, rhs, b, dx
+	// and xr are free-system sized; x is the full solution vector.
 	lin *linalg.Matrix // transient system matrix: base + cap companions
 	jac *linalg.Matrix
 	lu  *linalg.LUWorkspace
 	f   []float64
 	rhs []float64
 	b   []float64
-	x   []float64
 	dx  []float64
+	xr  []float64 // the free unknowns of x, gathered for the linear mat-vec
+	x   []float64
+	kcl []float64 // per-node current sums of the source-current recovery
 
 	// Mutable per-run parameters, seeded from the Program at creation.
 	srcW  []*wave.Waveform
@@ -64,7 +73,9 @@ type Session struct {
 	ownConst  []*wave.Waveform
 	ownConstI []*wave.Waveform
 
-	// Capacitor companion history (branch voltage and current).
+	// Capacitor companion conductance of the running transient, and its
+	// history (branch voltage and current).
+	capG  []float64
 	vPrev []float64
 	iPrev []float64
 
@@ -163,21 +174,22 @@ func NewSession(p *Program, opts Options) (*Session, error) {
 	s := &Session{
 		prog: p,
 		opts: opts.normalize(),
-		n:    p.n,
-		m:    p.m,
-		size: p.size,
 	}
-	s.base = linalg.NewMatrix(s.size, s.size)
-	s.jac = linalg.NewMatrix(s.size, s.size)
-	s.lu = linalg.NewLUWorkspace(s.size)
-	s.f = make([]float64, s.size)
-	s.rhs = make([]float64, s.size)
-	s.b = make([]float64, s.size)
-	s.x = make([]float64, s.size)
-	s.dx = make([]float64, s.size)
+	fz := p.fsize
+	s.base = linalg.NewMatrix(fz, fz)
+	s.jac = linalg.NewMatrix(fz, fz)
+	s.lu = linalg.NewLUWorkspace(fz)
+	s.f = make([]float64, fz)
+	s.rhs = make([]float64, fz)
+	s.b = make([]float64, fz)
+	s.dx = make([]float64, fz)
+	s.xr = make([]float64, fz)
+	s.x = make([]float64, p.size)
+	s.kcl = make([]float64, p.n)
 	s.srcW = append([]*wave.Waveform(nil), p.srcW0...)
 	s.isrcW = append([]*wave.Waveform(nil), p.isrcW0...)
 	s.capC = append([]float64(nil), p.capC0...)
+	s.capG = make([]float64, len(p.caps))
 	s.vPrev = make([]float64, len(p.caps))
 	s.iPrev = make([]float64, len(p.caps))
 	if len(p.nlcaps) > 0 {
@@ -185,7 +197,7 @@ func NewSession(p *Program, opts Options) (*Session, error) {
 		s.iPrevNL = make([]float64, len(p.nlcaps))
 		s.cPrevNL = make([]float64, len(p.nlcaps))
 	}
-	s.xWarm = make([]float64, s.size)
+	s.xWarm = make([]float64, p.size)
 	for name, v := range s.opts.InitialGuess {
 		s.setGuess(name, v)
 	}
@@ -248,9 +260,10 @@ func (s *Session) SetISourceDC(h ISourceHandle, v float64) {
 // When on, each solve seeds Newton from the previous converged DC solution
 // instead of the cold initial guess — the classic continuation trick for
 // characterisation sweeps, where neighbouring grid points have nearly
-// identical operating points. Ground-referenced source nodes are re-pinned
-// at their current values on top of the carried solution, so the seed
-// satisfies the new boundary conditions exactly, and warm solves terminate
+// identical operating points. Ground-referenced source nodes are known
+// boundary values set at their current values on top of the carried
+// solution, so the seed satisfies the new boundary conditions exactly, and
+// warm solves terminate
 // on the standard small-undamped-update criterion (see newton), which
 // together reduce a fine sweep to about one iteration per grid point. A
 // warm-started solve that fails to converge transparently falls back to
@@ -322,29 +335,29 @@ func (s *Session) WarmState() ([]float64, bool) {
 // never costs robustness. A mismatched length panics: it means the caller
 // transplanted between different topologies, a programming error.
 func (s *Session) SeedWarmStart(x []float64) {
-	if len(x) != s.size {
-		panic(fmt.Sprintf("sim: SeedWarmStart with %d unknowns, session has %d", len(x), s.size))
+	if len(x) != s.prog.size {
+		panic(fmt.Sprintf("sim: SeedWarmStart with %d unknowns, session has %d", len(x), s.prog.size))
 	}
 	copy(s.xWarm, x)
 	s.haveWarm = true
 }
 
 // MemoryBytes estimates the session's resident footprint: the dense
-// matrices (base, Jacobian, the LU workspace buffer, and the transient
-// system matrix once allocated) dominate at size² float64s each, plus the
-// per-unknown vectors. Long-lived holders of many sessions — core.RigPool
-// above all — use it to enforce byte-based retention bounds; it is an
-// accounting estimate, not an exact heap measurement.
+// free-system matrices (base, Jacobian, the LU workspace buffer, and the
+// transient system matrix once allocated) at fsize² float64s each, plus
+// the per-unknown vectors. Long-lived holders of many sessions —
+// core.RigPool above all — use it to enforce byte-based retention bounds;
+// it is an accounting estimate, not an exact heap measurement.
 func (s *Session) MemoryBytes() int64 {
-	sz := int64(s.size)
+	fz, sz := int64(s.prog.fsize), int64(s.prog.size)
 	matrices := int64(3) // base, jac, lu workspace buffer
 	if s.lin != nil {
 		matrices++
 	}
-	b := matrices * sz * sz * 8
-	// f, rhs, b, x, dx, xWarm (+ pivot ints and small per-element slices).
-	b += 6*sz*8 + sz*8
-	b += int64(len(s.vPrev)+len(s.iPrev)) * 16
+	b := matrices * fz * fz * 8
+	// f, rhs, b, dx, xr, pivots; x, xWarm; kcl.
+	b += 6*fz*8 + 2*sz*8 + int64(s.prog.n)*8
+	b += int64(len(s.capG)+len(s.vPrev)+len(s.iPrev)) * 8
 	b += int64(len(s.vPrevNL)) * 24 // vPrevNL + iPrevNL + cPrevNL
 	if s.xFallback != nil {
 		// Predictor history ring (3 vectors) plus the fallback buffer.
@@ -388,29 +401,37 @@ func (s *Session) setGuess(name string, v float64) {
 	s.guesses = append(s.guesses, guessEntry{node: int(id), v: v})
 }
 
-// stampBase fills the linear, time-invariant part of the Jacobian.
+// stampBase fills the linear, time-invariant part of the free-system
+// Jacobian. gmin goes on every free node; a pinned node's gmin current is
+// accounted in the source-current recovery (recoverSourceCurrents).
 func (s *Session) stampBase(gmin float64) {
+	p := s.prog
 	s.base.Zero()
-	for i := 0; i < s.n; i++ {
-		s.base.Add(i, i, gmin)
+	for r := 0; r < p.nfree; r++ {
+		s.base.Add(r, r, gmin)
 	}
-	for _, r := range s.prog.res {
-		s.stampConductance(s.base, r.a, r.b, r.g)
+	for _, r := range p.res {
+		s.stampConductance(s.base, r.ra, r.rb, r.g)
 	}
-	for k, v := range s.prog.vsrc {
-		row := s.n + k
-		if v.pos >= 0 {
-			s.base.Add(v.pos, row, 1)
-			s.base.Add(row, v.pos, 1)
+	for k, v := range p.vsrc {
+		br := p.row[p.n+k]
+		if br < 0 {
+			continue // pinned: no branch unknown
 		}
-		if v.neg >= 0 {
-			s.base.Add(v.neg, row, -1)
-			s.base.Add(row, v.neg, -1)
+		if v.rpos >= 0 {
+			s.base.Add(v.rpos, br, 1)
+			s.base.Add(br, v.rpos, 1)
+		}
+		if v.rneg >= 0 {
+			s.base.Add(v.rneg, br, -1)
+			s.base.Add(br, v.rneg, -1)
 		}
 	}
 	s.stampedGmin = gmin
 }
 
+// stampConductance stamps conductance g between free rows a and b (-1 for
+// a known voltage: ground or a pinned node).
 func (s *Session) stampConductance(m *linalg.Matrix, a, b int, g float64) {
 	if a >= 0 {
 		m.Add(a, a, g)
@@ -432,23 +453,35 @@ func vIdx(x []float64, i int) float64 {
 	return x[i]
 }
 
-// assemble builds the Jacobian and residual F(x) at the given Newton
-// iterate. lin is the linear system matrix to start from (base for DC,
-// base+cap companions for transients); b carries the time-dependent source
-// and capacitor-history terms as "current injected" (so F = lin·x - b + nl).
+// residual gathers the free unknowns of x and sets f = lin·x_free − b: the
+// linear part of the free-system residual. The pinned columns' share of
+// lin·x is already in b (see sourceRHS and the capacitor coupling of the
+// step loop).
+func (s *Session) residual(lin *linalg.Matrix, x, b []float64) {
+	for r, i := range s.prog.free {
+		s.xr[r] = x[i]
+	}
+	lin.MulVecInto(s.f, s.xr)
+	for r := range s.f {
+		s.f[r] -= b[r]
+	}
+}
+
+// assemble builds the free-system Jacobian and residual F(x) at the given
+// Newton iterate. lin is the linear system matrix to start from (base for
+// DC, base+cap companions for transients); b carries the time-dependent
+// source, boundary and capacitor-history terms as "current injected" (so
+// F = lin·x − b + nl). Devices read every terminal voltage from the full
+// x — pinned nodes hold their boundary values — and stamp only free rows
+// and columns.
 func (s *Session) assemble(lin *linalg.Matrix, x, b []float64) {
 	s.jac.CopyFrom(lin)
-	// F = lin·x - b
-	lin.MulVecInto(s.f, x)
-	for i := range s.f {
-		s.f[i] -= b[i]
-	}
+	s.residual(lin, x, b)
 	// MOSFETs.
 	for i := range s.prog.mos {
 		m := &s.prog.mos[i]
-		vd, vg, vs := vIdx(x, m.d), vIdx(x, m.g), vIdx(x, m.s)
-		id, gd, gg, gs := m.p.Eval(vd, vg, vs)
-		d, g, src := m.d, m.g, m.s
+		id, gd, gg, gs := m.p.Eval(vIdx(x, m.d), vIdx(x, m.g), vIdx(x, m.s))
+		d, g, src := m.rd, m.rg, m.rs
 		// id is the current into the drain terminal, i.e. leaving node D.
 		if d >= 0 {
 			s.f[d] += id
@@ -485,9 +518,9 @@ func (s *Session) assemble(lin *linalg.Matrix, x, b []float64) {
 	// charge-conserving when C varies between steps (DESIGN.md §12).
 	// Outside a transient step loop nlGeq is 0 and the caps stamp nothing:
 	// open circuits at DC, exactly like the pre-stamped linear caps.
-	if s.nlGeq > 0 && len(s.prog.nlcaps) > 0 {
+	if s.nlGeq > 0 && len(s.prog.stepNL) > 0 {
 		geq := s.nlGeq
-		for i := range s.prog.nlcaps {
+		for _, i := range s.prog.stepNL {
 			nc := &s.prog.nlcaps[i]
 			u := vIdx(x, nc.a) - vIdx(x, nc.b)
 			c, dc := nc.cp.Eval(u)
@@ -497,7 +530,7 @@ func (s *Session) assemble(lin *linalg.Matrix, x, b []float64) {
 			}
 			cur := c * rate
 			g := dc*rate + c*geq
-			a, bn := nc.a, nc.b
+			a, bn := nc.ra, nc.rb
 			if a >= 0 {
 				s.f[a] += cur
 				s.jac.Add(a, a, g)
@@ -513,35 +546,37 @@ func (s *Session) assemble(lin *linalg.Matrix, x, b []float64) {
 				}
 			}
 		}
-		s.stats.NLStampEvals += int64(len(s.prog.nlcaps))
-		nlStampEvalCount.Add(int64(len(s.prog.nlcaps)))
+		s.stats.NLStampEvals += int64(len(s.prog.stepNL))
+		nlStampEvalCount.Add(int64(len(s.prog.stepNL)))
 	}
 	// Table VCCSs: current i injected into Out.
 	for i := range s.prog.vccs {
 		e := &s.prog.vccs[i]
-		vc, vo := vIdx(x, e.ctrl), vIdx(x, e.out)
-		cur, gc, gout := e.f.Eval(vc, vo)
-		o, cn := e.out, e.ctrl
-		if o >= 0 {
-			s.f[o] -= cur
-			s.jac.Add(o, o, -gout)
-			if cn >= 0 {
-				s.jac.Add(o, cn, -gc)
-			}
+		if e.rout < 0 {
+			continue
+		}
+		cur, gc, gout := e.f.Eval(vIdx(x, e.ctrl), vIdx(x, e.out))
+		s.f[e.rout] -= cur
+		s.jac.Add(e.rout, e.rout, -gout)
+		if e.rctrl >= 0 {
+			s.jac.Add(e.rout, e.rctrl, -gc)
 		}
 	}
 }
 
-// newton solves F(x) = 0 starting from x, modifying it in place. The loop
-// body allocates nothing: the Jacobian factors into the session's LU
+// newton solves F(x) = 0 on the free unknowns of x, modifying them in
+// place; the pinned entries must already hold their boundary values. The
+// loop body allocates nothing: the Jacobian factors into the session's LU
 // workspace and the update solves into the preallocated dx buffer.
 //
 // relaxed selects the warm-start termination criterion (small undamped
 // update, no residual verification); DC solves pass it in warm-start mode,
 // transient timestep solves always use the strict dual criterion.
 func (s *Session) newton(lin *linalg.Matrix, x, b []float64, relaxed bool) error {
-	opts := s.opts
-	for it := 0; it < opts.MaxNewton; it++ {
+	if s.prog.fsize == 0 {
+		return nil // every node is pinned: nothing to solve
+	}
+	for it := 0; it < s.opts.MaxNewton; it++ {
 		s.stats.NewtonIters++
 		newtonIterCount.Add(1)
 		s.assemble(lin, x, b)
@@ -549,49 +584,51 @@ func (s *Session) newton(lin *linalg.Matrix, x, b []float64, relaxed bool) error
 			return fmt.Errorf("sim: singular Jacobian at Newton iteration %d: %w", it, err)
 		}
 		s.lu.SolveInto(s.dx, s.f)
-		dx := s.dx
-		// Damping: bound the voltage update.
-		maxdv := 0.0
-		for i := 0; i < s.n; i++ {
-			if a := math.Abs(dx[i]); a > maxdv {
-				maxdv = a
-			}
-		}
-		scale := 1.0
-		if maxdv > opts.MaxStep {
-			scale = opts.MaxStep / maxdv
-		}
-		for i := range x {
-			x[i] -= scale * dx[i]
-		}
-		if relaxed {
-			// Warm-start termination: accept on a small undamped update.
-			// A full Newton step (scale == 1) below VTol bounds the
-			// remaining error quadratically — the linearised residual is
-			// solved exactly, so what is left is O(curvature·dv²) — which
-			// makes the cold path's extra residual-verification iteration
-			// redundant. This is what turns a continuation sweep into one
-			// iteration per grid point; it is confined to warm-mode DC
-			// solves (transient timesteps always verify the residual), so
-			// the cold path stays bit-identical to the legacy flow and
-			// warm transients differ from cold only through their
-			// operating point.
-			if maxdv*scale < opts.VTol && scale == 1 {
-				return nil
-			}
-			continue
-		}
-		maxf := 0.0
-		for i := 0; i < s.n; i++ {
-			if a := math.Abs(s.f[i]); a > maxf {
-				maxf = a
-			}
-		}
-		if maxdv*scale < opts.VTol && maxf < opts.ITol*math.Max(1, float64(s.n)) {
+		if s.update(x, relaxed) {
 			return nil
 		}
 	}
 	return ErrNoConvergence
+}
+
+// update applies the damped Newton step in s.dx to the free unknowns of x
+// and reports convergence. Damping bounds the largest free node-voltage
+// update to MaxStep.
+//
+// The strict criterion needs both a small update and a small residual on
+// every free KCL row, against ITol scaled by the circuit's node count. The
+// relaxed (warm-start) criterion accepts on a small undamped update alone:
+// a full Newton step (scale == 1) below VTol bounds the remaining error
+// quadratically — the linearised residual is solved exactly, so what is
+// left is O(curvature·dv²) — which makes the cold path's extra
+// residual-verification iteration redundant. This is what turns a
+// continuation sweep into one iteration per grid point; it is confined to
+// warm-mode DC solves (transient timesteps always verify the residual).
+func (s *Session) update(x []float64, relaxed bool) bool {
+	p, opts, dx := s.prog, &s.opts, s.dx
+	maxdv := 0.0
+	for r := 0; r < p.nfree; r++ {
+		if a := math.Abs(dx[r]); a > maxdv {
+			maxdv = a
+		}
+	}
+	scale := 1.0
+	if maxdv > opts.MaxStep {
+		scale = opts.MaxStep / maxdv
+	}
+	for r, i := range p.free {
+		x[i] -= scale * dx[r]
+	}
+	if relaxed {
+		return maxdv*scale < opts.VTol && scale == 1
+	}
+	maxf := 0.0
+	for r := 0; r < p.nfree; r++ {
+		if a := math.Abs(s.f[r]); a > maxf {
+			maxf = a
+		}
+	}
+	return maxdv*scale < opts.VTol && maxf < opts.ITol*math.Max(1, float64(p.n))
 }
 
 // linearRefine is the inner loop of the linear transient fast path: the
@@ -608,35 +645,13 @@ func (s *Session) newton(lin *linalg.Matrix, x, b []float64, relaxed bool) error
 // NewtonIters: a fast-path transient run reports zero Newton iterations,
 // and that counter assertion is the proof the run never re-factored.
 func (s *Session) linearRefine(lin *linalg.Matrix, x, b []float64) error {
-	opts := s.opts
-	for it := 0; it < opts.MaxNewton; it++ {
-		// F = lin·x - b, as in assemble (no device loops: none exist).
-		lin.MulVecInto(s.f, x)
-		for i := range s.f {
-			s.f[i] -= b[i]
-		}
+	if s.prog.fsize == 0 {
+		return nil
+	}
+	for it := 0; it < s.opts.MaxNewton; it++ {
+		s.residual(lin, x, b)
 		s.lu.SolveInto(s.dx, s.f)
-		dx := s.dx
-		maxdv := 0.0
-		for i := 0; i < s.n; i++ {
-			if a := math.Abs(dx[i]); a > maxdv {
-				maxdv = a
-			}
-		}
-		scale := 1.0
-		if maxdv > opts.MaxStep {
-			scale = opts.MaxStep / maxdv
-		}
-		for i := range x {
-			x[i] -= scale * dx[i]
-		}
-		maxf := 0.0
-		for i := 0; i < s.n; i++ {
-			if a := math.Abs(s.f[i]); a > maxf {
-				maxf = a
-			}
-		}
-		if maxdv*scale < opts.VTol && maxf < opts.ITol*math.Max(1, float64(s.n)) {
+		if s.update(x, false) {
 			return nil
 		}
 	}
@@ -649,9 +664,9 @@ func (s *Session) ensurePredictorBuffers() {
 	if s.xFallback != nil {
 		return
 	}
-	s.xFallback = make([]float64, s.size)
+	s.xFallback = make([]float64, s.prog.size)
 	for i := range s.xHist {
-		s.xHist[i] = make([]float64, s.size)
+		s.xHist[i] = make([]float64, s.prog.size)
 	}
 }
 
@@ -671,56 +686,133 @@ func (s *Session) pushHistory(x []float64, nh int) int {
 	return nh
 }
 
-// predictSeed overwrites x with the polynomial extrapolation of the
-// history ring: linear over two points, second-order over three. The
-// uniform-step Lagrange forms (2·x₁ − x₀ and 3·x₂ − 3·x₁ + x₀) are exact
-// for the session's fixed Dt grid.
+// predictSeed overwrites the free unknowns of x with the polynomial
+// extrapolation of the history ring: linear over two points, second-order
+// over three. The uniform-step Lagrange forms (2·x₁ − x₀ and
+// 3·x₂ − 3·x₁ + x₀) are exact for the session's fixed Dt grid. Pinned
+// nodes keep the boundary values already set for the step.
 func (s *Session) predictSeed(x []float64, nh int) {
 	h0, h1 := s.xHist[0], s.xHist[1]
 	if nh >= 3 {
 		h2 := s.xHist[2]
-		for i := range x {
+		for _, i := range s.prog.free {
 			x[i] = 3*h0[i] - 3*h1[i] + h2[i]
 		}
 		return
 	}
-	for i := range x {
+	for _, i := range s.prog.free {
 		x[i] = 2*h0[i] - h1[i]
 	}
 }
 
-// sourceRHS fills b with the independent-source terms at time t.
+// sourceRHS sets the boundary of time point t: every pinned node of s.x
+// takes its source's value, and b is filled with the independent-source
+// terms of the free rows — floating-source values, current sources, and
+// the known share of the linear stamps on pinned columns.
 func (s *Session) sourceRHS(b []float64, t float64) {
-	for i := range b {
-		b[i] = 0
+	p, x := s.prog, s.x
+	for _, pn := range p.pins {
+		x[pn.node] = pn.sign * s.srcW[pn.src].At(t)
 	}
-	for k := range s.prog.vsrc {
-		b[s.n+k] = s.srcW[k].At(t)
+	for r := range b {
+		b[r] = 0
 	}
-	for k, is := range s.prog.isrc {
-		if is.pos >= 0 {
-			b[is.pos] += s.isrcW[k].At(t)
+	for k := range p.vsrc {
+		if br := p.row[p.n+k]; br >= 0 {
+			b[br] = s.srcW[k].At(t)
 		}
-		if is.neg >= 0 {
-			b[is.neg] -= s.isrcW[k].At(t)
+	}
+	for k, is := range p.isrc {
+		i := s.isrcW[k].At(t)
+		if is.rpos >= 0 {
+			b[is.rpos] += i
 		}
+		if is.rneg >= 0 {
+			b[is.rneg] -= i
+		}
+	}
+	for _, c := range p.bound {
+		b[c.row] -= c.g * x[c.node]
 	}
 }
 
-// initialGuess fills x with the DC starting point.
+// initialGuess fills x with the DC starting point: zero, overridden by the
+// initial-guess seeds. Pinned nodes are then set by sourceRHS.
 func (s *Session) initialGuess(x []float64) {
 	for i := range x {
 		x[i] = 0
 	}
-	// Ground-referenced DC sources pin their node directly; this lands the
-	// first iterate close to the operating point for rail-connected nets.
-	for k, v := range s.prog.vsrc {
-		if v.neg < 0 && v.pos >= 0 {
-			x[v.pos] = s.srcW[k].At(0)
-		}
-	}
 	for _, g := range s.guesses {
 		x[g.node] = g.v
+	}
+}
+
+// recoverSourceCurrents fills the branch currents of the pinned sources
+// in x from KCL at their nodes: with every other unknown converged, a
+// pinned source carries exactly the current its node's other elements
+// draw (DC: capacitors are open). Floating-source branch currents are
+// Newton unknowns and already in x.
+func (s *Session) recoverSourceCurrents(x []float64) {
+	p := s.prog
+	if len(p.pins) == 0 {
+		return
+	}
+	// kcl[i] is the current leaving node i through everything but the
+	// pinned sources — the full-MNA KCL row without its branch term.
+	kcl := s.kcl
+	for i := range kcl {
+		kcl[i] = s.stampedGmin * x[i]
+	}
+	for _, r := range p.res {
+		cur := r.g * (vIdx(x, r.a) - vIdx(x, r.b))
+		if r.a >= 0 {
+			kcl[r.a] += cur
+		}
+		if r.b >= 0 {
+			kcl[r.b] -= cur
+		}
+	}
+	for i := range p.mos {
+		m := &p.mos[i]
+		id, _, _, _ := m.p.Eval(vIdx(x, m.d), vIdx(x, m.g), vIdx(x, m.s))
+		if m.d >= 0 {
+			kcl[m.d] += id
+		}
+		if m.s >= 0 {
+			kcl[m.s] -= id
+		}
+	}
+	for i := range p.vccs {
+		e := &p.vccs[i]
+		if e.out >= 0 {
+			cur, _, _ := e.f.Eval(vIdx(x, e.ctrl), vIdx(x, e.out))
+			kcl[e.out] -= cur
+		}
+	}
+	for k, v := range p.vsrc {
+		if p.row[p.n+k] < 0 {
+			continue
+		}
+		if v.pos >= 0 {
+			kcl[v.pos] += x[p.n+k]
+		}
+		if v.neg >= 0 {
+			kcl[v.neg] -= x[p.n+k]
+		}
+	}
+	for k, is := range p.isrc {
+		i := s.isrcW[k].At(0)
+		if is.pos >= 0 {
+			kcl[is.pos] -= i
+		}
+		if is.neg >= 0 {
+			kcl[is.neg] += i
+		}
+	}
+	// Full MNA stamps branch k at +1 on its positive node and −1 on its
+	// negative one, so KCL there reads kcl ± i_k = 0.
+	for _, pn := range p.pins {
+		x[p.n+pn.src] = -pn.sign * kcl[pn.node]
 	}
 }
 
@@ -733,7 +825,8 @@ func (s *Session) RunDC() (*DCResult, error) {
 	if err := s.solveDC(); err != nil {
 		return nil, err
 	}
-	return s.dcResult(), nil
+	s.recoverSourceCurrents(s.x)
+	return &DCResult{c: s.prog.ckt, X: append([]float64(nil), s.x...), n: s.prog.n}, nil
 }
 
 // RunDCInto is RunDC writing the operating point into a caller-owned
@@ -750,12 +843,13 @@ func (s *Session) RunDCInto(res *DCResult) error {
 	if err := s.solveDC(); err != nil {
 		return err
 	}
+	s.recoverSourceCurrents(s.x)
 	res.c = s.prog.ckt
-	res.n = s.n
-	if cap(res.X) < s.size {
-		res.X = make([]float64, s.size)
+	res.n = s.prog.n
+	if cap(res.X) < s.prog.size {
+		res.X = make([]float64, s.prog.size)
 	}
-	res.X = res.X[:s.size]
+	res.X = res.X[:s.prog.size]
 	copy(res.X, s.x)
 	return nil
 }
@@ -772,23 +866,17 @@ func (s *Session) solveDC() error {
 	if s.stampedGmin != s.opts.Gmin {
 		s.stampBase(s.opts.Gmin)
 	}
-	s.sourceRHS(s.rhs, 0)
 	if s.warmStart && s.haveWarm {
 		s.stats.WarmStarts++
 		// Hybrid continuation seed: carry the internal-node voltages and
-		// branch currents of the previous converged solution — the part a
-		// cold guess can only approximate — but re-pin every
-		// ground-referenced source node at its *new* value (the same
-		// pinning initialGuess performs). The sweep mutates exactly those
-		// sources between points, so the seed then satisfies the new
-		// boundary conditions exactly and Newton only has to track the
-		// interior.
+		// floating-source currents of the previous converged solution —
+		// the part a cold guess can only approximate — while every
+		// ground-referenced source node takes its *new* value as a
+		// boundary. The sweep mutates exactly those sources between
+		// points, so the seed satisfies the new boundary conditions
+		// exactly and Newton only has to track the interior.
 		copy(s.x, s.xWarm)
-		for k, v := range s.prog.vsrc {
-			if v.neg < 0 && v.pos >= 0 {
-				s.x[v.pos] = s.srcW[k].At(0)
-			}
-		}
+		s.sourceRHS(s.rhs, 0)
 		if err := s.newton(s.base, s.x, s.rhs, true); err == nil {
 			copy(s.xWarm, s.x)
 			return nil
@@ -798,12 +886,14 @@ func (s *Session) solveDC() error {
 		s.stats.WarmFallbacks++
 	}
 	s.initialGuess(s.x)
+	s.sourceRHS(s.rhs, 0)
 	if err := s.newton(s.base, s.x, s.rhs, false); err == nil {
 		s.saveWarm()
 		return nil
 	}
 	// gmin stepping.
 	s.initialGuess(s.x)
+	s.sourceRHS(s.rhs, 0)
 	for gmin := 1e-3; gmin >= s.opts.Gmin; gmin /= 10 {
 		s.stampBase(gmin)
 		if err := s.newton(s.base, s.x, s.rhs, false); err != nil {
@@ -828,10 +918,6 @@ func (s *Session) saveWarm() {
 	}
 	copy(s.xWarm, s.x)
 	s.haveWarm = true
-}
-
-func (s *Session) dcResult() *DCResult {
-	return &DCResult{c: s.prog.ckt, X: append([]float64(nil), s.x...), n: s.n}
 }
 
 // RunTransient runs a transient analysis from a DC operating point at
@@ -892,7 +978,8 @@ func (s *Session) RunTransientInto(ctx context.Context, res *Result, tstop float
 	// count at large tstop/Dt ratios). nsteps reproduces the legacy loop's
 	// step count: it ran while t ≤ tstop + h/2.
 	nsteps := int(math.Floor(tstop/h + 0.5))
-	res.reset(s.prog.ckt, s.n, s.m, nsteps+1)
+	p := s.prog
+	res.reset(p.ckt, p.n, nsteps+1)
 
 	// Linear fast path, part 1: the operating point. The program has no
 	// nonlinear stamps, so the DC system is s.base itself; factor it once
@@ -910,8 +997,8 @@ func (s *Session) RunTransientInto(ctx context.Context, res *Result, tstop float
 		if s.lu.Factor(s.base) == nil {
 			dcCount.Add(1)
 			s.stats.DCSolves++
-			s.sourceRHS(s.rhs, 0)
 			s.initialGuess(s.x)
+			s.sourceRHS(s.rhs, 0)
 			fast = s.linearRefine(s.base, s.x, s.rhs) == nil
 		}
 	}
@@ -924,16 +1011,20 @@ func (s *Session) RunTransientInto(ctx context.Context, res *Result, tstop float
 	res.record(0, x)
 
 	// Transient system matrix: base + capacitor companion conductances.
+	// A capacitor between two known voltages stamps nothing and keeps no
+	// history (Program.stepCaps).
 	geqFactor := 1.0 / h // BE
 	if opts.Method == Trapezoidal {
 		geqFactor = 2.0 / h
 	}
 	if s.lin == nil {
-		s.lin = linalg.NewMatrix(s.size, s.size)
+		s.lin = linalg.NewMatrix(p.fsize, p.fsize)
 	}
 	s.lin.CopyFrom(s.base)
-	for i, cp := range s.prog.caps {
-		s.stampConductance(s.lin, cp.a, cp.b, s.capC[i]*geqFactor)
+	for _, i := range p.stepCaps {
+		cp := &p.caps[i]
+		s.capG[i] = s.capC[i] * geqFactor
+		s.stampConductance(s.lin, cp.ra, cp.rb, s.capG[i])
 	}
 	// Linear fast path, part 2: factor the timestep system once for the
 	// whole run. Every step below is then a substitution against this
@@ -958,15 +1049,16 @@ func (s *Session) RunTransientInto(ctx context.Context, res *Result, tstop float
 	// the flat-output consequence), and mid-transient restarts are not
 	// supported: resuming would additionally need the capacitor branch
 	// currents of the interrupted run, exactly what iPrev would carry.
-	for i, cp := range s.prog.caps {
+	for _, i := range p.stepCaps {
+		cp := &p.caps[i]
 		s.vPrev[i] = vIdx(x, cp.a) - vIdx(x, cp.b)
 		s.iPrev[i] = 0
 	}
 	// Nonlinear-cap history starts from the same steady state: zero branch
 	// current, and C_last evaluated at the operating-point branch voltage
 	// so the first step's i_last/C_last term is well-defined.
-	for i := range s.prog.nlcaps {
-		nc := &s.prog.nlcaps[i]
+	for _, i := range p.stepNL {
+		nc := &p.nlcaps[i]
 		u := vIdx(x, nc.a) - vIdx(x, nc.b)
 		s.vPrevNL[i] = u
 		s.iPrevNL[i] = 0
@@ -996,18 +1088,27 @@ func (s *Session) RunTransientInto(ctx context.Context, res *Result, tstop float
 			}
 		}
 		s.sourceRHS(b, t)
-		for i, cp := range s.prog.caps {
-			var hist float64
+		// Companion history, plus the companion's share on a known
+		// terminal: g·v(known) moves into b like the pinned columns of
+		// sourceRHS (ground contributes zero).
+		for _, i := range p.stepCaps {
+			cp := &p.caps[i]
+			g := s.capG[i]
+			hist := g * s.vPrev[i]
 			if opts.Method == Trapezoidal {
-				hist = s.capC[i]*geqFactor*s.vPrev[i] + s.iPrev[i]
-			} else {
-				hist = s.capC[i] * geqFactor * s.vPrev[i]
+				hist += s.iPrev[i]
 			}
-			if cp.a >= 0 {
-				b[cp.a] += hist
+			if cp.ra >= 0 {
+				b[cp.ra] += hist
+				if cp.rb < 0 {
+					b[cp.ra] += g * vIdx(x, cp.b)
+				}
 			}
-			if cp.b >= 0 {
-				b[cp.b] -= hist
+			if cp.rb >= 0 {
+				b[cp.rb] -= hist
+				if cp.ra < 0 {
+					b[cp.rb] += g * vIdx(x, cp.a)
+				}
 			}
 		}
 		var err error
@@ -1035,17 +1136,18 @@ func (s *Session) RunTransientInto(ctx context.Context, res *Result, tstop float
 		if err != nil {
 			return fmt.Errorf("sim: transient at t=%.3gps: %w", t*1e12, err)
 		}
-		for i, cp := range s.prog.caps {
+		for _, i := range p.stepCaps {
+			cp := &p.caps[i]
 			v := vIdx(x, cp.a) - vIdx(x, cp.b)
 			if opts.Method == Trapezoidal {
-				s.iPrev[i] = s.capC[i]*geqFactor*(v-s.vPrev[i]) - s.iPrev[i]
+				s.iPrev[i] = s.capG[i]*(v-s.vPrev[i]) - s.iPrev[i]
 			} else {
-				s.iPrev[i] = s.capC[i] * geqFactor * (v - s.vPrev[i])
+				s.iPrev[i] = s.capG[i] * (v - s.vPrev[i])
 			}
 			s.vPrev[i] = v
 		}
-		for i := range s.prog.nlcaps {
-			nc := &s.prog.nlcaps[i]
+		for _, i := range p.stepNL {
+			nc := &p.nlcaps[i]
 			u := vIdx(x, nc.a) - vIdx(x, nc.b)
 			c, _ := nc.cp.Eval(u)
 			rate := geqFactor * (u - s.vPrevNL[i])

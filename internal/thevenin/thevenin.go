@@ -23,6 +23,17 @@ import (
 	"stanoise/internal/wave"
 )
 
+// FitVersion identifies the fitting procedure. Memoized and persisted fits
+// key on it, so a change to how Fit maps a golden response to a Driver
+// must bump it: a store filled by the previous procedure then misses
+// instead of serving its fits. Version 2 fits the ramp of a re-fitted
+// (sharp) transition to the early 20→50 % crossing gap (see fitRamp).
+const FitVersion = 2
+
+// refitCrossing is the early swing fraction that pins the ramp duration
+// of a re-fitted transition (see fitRamp).
+const refitCrossing = 0.2
+
 // Driver is a fitted Thevenin model of a switching driver.
 type Driver struct {
 	V0, V1 float64 // pre- and post-transition output levels (V)
@@ -109,27 +120,41 @@ func Fit(ctx context.Context, cl *cell.Cell, fromState cell.State, switchPin str
 	if math.IsInf(tA, 0) || math.IsInf(tB, 0) || tB <= tA {
 		return nil, fmt.Errorf("thevenin: golden response of %s never completes its transition", cl.Name())
 	}
+	tEarly := crossingTime(goldenOut, progress, refitCrossing)
+	t0, tr, rth := fitRamp(rth, loadCap, opts.Crossings, tEarly, tA, tB)
+	return &Driver{V0: v0, V1: v1, T0: t0, Tr: tr, RTh: rth}, nil
+}
 
-	// Fit the ramp duration so the linear model reproduces the crossing
-	// spread tB−tA, then place t0 from the first crossing.
+// fitRamp fits the ramp of the linear model to the golden crossing times
+// tEarly (refitCrossing), tA and tB (crossings[0] and [1]) and returns
+// its start time, duration and — re-fitted or not — resistance.
+//
+// The ramp duration reproduces the crossing spread tB−tA, and the start
+// is placed from the first crossing. When the golden transition is
+// sharper than the pure RC tail of the mid-swing resistance (even an
+// instantaneous ramp spreads too much), the resistance is re-fitted from
+// the observed spread instead, as the Dartu–Pileggi iteration adapts R_TH,
+// so τ·ln((1−c₀)/(1−c₁)) equals the spread. That spread is then the
+// model's for *every* ramp ending before the tA crossing: the tail past
+// the ramp end is a pure exponential. Bisecting it for the duration
+// would pick rounding noise, so a re-fitted ramp matches the golden
+// tEarly→tA gap instead — the part of the transition the input ramp
+// still shapes (DESIGN.md §14).
+func fitRamp(rth, loadCap float64, crossings [2]float64, tEarly, tA, tB float64) (t0, tr, rthFit float64) {
 	tau := rth * loadCap
 	spread := tB - tA
-	trFit := fitRampDuration(tau, opts.Crossings, spread)
-	if trFit <= 2e-13 && loadCap > 0 {
-		// The golden transition is sharper than the pure RC tail of the
-		// mid-swing resistance: even an instantaneous ramp spreads too
-		// much. Re-fit the resistance from the observed spread instead
-		// (the Dartu–Pileggi iteration adapts R_TH the same way) and keep
-		// a short ramp.
-		tauFit := spread / math.Log((1-opts.Crossings[0])/(1-opts.Crossings[1]))
+	tr = fitRampDuration(tau, crossings, spread)
+	if tr <= 2e-13 && loadCap > 0 {
+		tauFit := spread / math.Log((1-crossings[0])/(1-crossings[1]))
 		if tauFit > 0 && tauFit < tau {
 			rth = tauFit / loadCap
 			tau = tauFit
 		}
-		trFit = fitRampDuration(tau, opts.Crossings, spread)
+		if tEarly < tA && refitCrossing < crossings[0] {
+			tr = fitRampDuration(tau, [2]float64{refitCrossing, crossings[0]}, tA-tEarly)
+		}
 	}
-	t0 := tA - rampCrossing(trFit, tau, opts.Crossings[0])
-	return &Driver{V0: v0, V1: v1, T0: t0, Tr: trFit, RTh: rth}, nil
+	return tA - rampCrossing(tr, tau, crossings[0]), tr, rth
 }
 
 // midSwingResistance computes R_TH from the driver's DC current at

@@ -156,3 +156,40 @@ func TestFit90nm(t *testing.T) {
 		t.Errorf("levels %v→%v", drv.V0, drv.V1)
 	}
 }
+
+// TestFitRampWellPosed pins the conditioning of the re-fitted ramp. The
+// crossing times are INV_X1's golden response into 100 fF (both
+// directions), where the observed 50→80 % spread is sharper than the
+// mid-swing RC tail and R_TH is re-fitted. The model's 50→80 % spread is
+// then flat in the ramp duration, so fitting the duration to it picked
+// rounding noise: a 1-ulp change of tB moved T0 by tens of picoseconds.
+// Fitted to the 20→50 % gap, T0 and Tr must move by < 0.01 ps.
+func TestFitRampWellPosed(t *testing.T) {
+	const load = 100e-15
+	crossings := [2]float64{0.5, 0.8}
+	cases := []struct{ rth, tEarly, tA, tB float64 }{
+		{1062.9773165694692, 1.8700576698255947e-10, 2.472315551598332e-10, 3.3519193766442505e-10},
+		{2066.7989460705999, 2.259551057603468e-10, 3.4341021268087702e-10, 5.1444085420018668e-10},
+	}
+	for _, c := range cases {
+		t0, tr, rth := fitRamp(c.rth, load, crossings, c.tEarly, c.tA, c.tB)
+		if rth >= c.rth {
+			t.Fatalf("R_TH %v was not re-fitted below %v: case does not reach the re-fit branch", rth, c.rth)
+		}
+		for _, tB := range []float64{math.Nextafter(c.tB, 1), math.Nextafter(c.tB, 0)} {
+			t0p, trp, _ := fitRamp(c.rth, load, crossings, c.tEarly, c.tA, tB)
+			if d := math.Abs(t0p - t0); d >= 0.01e-12 {
+				t.Errorf("rth %v: 1-ulp tB change moved T0 by %.3g ps", c.rth, d*1e12)
+			}
+			if d := math.Abs(trp - tr); d >= 0.01e-12 {
+				t.Errorf("rth %v: 1-ulp tB change moved Tr by %.3g ps", c.rth, d*1e12)
+			}
+		}
+		// The fitted model reproduces the early gap it was fitted to.
+		tau := rth * load
+		gap := rampCrossing(tr, tau, crossings[0]) - rampCrossing(tr, tau, refitCrossing)
+		if d := math.Abs(gap - (c.tA - c.tEarly)); d > 1e-15 {
+			t.Errorf("rth %v: model 20→50 %% gap %.6g ps, golden %.6g ps", c.rth, gap*1e12, (c.tA-c.tEarly)*1e12)
+		}
+	}
+}
